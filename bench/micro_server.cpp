@@ -1,15 +1,16 @@
 // Serving-layer microbench: what the socket front-end costs over the
-// in-process sessions it drives, on both transports and both connection
-// planes. Measures ping RTT (pure protocol + kernel hop), served
+// in-process sessions it drives, on both transports of the event-driven
+// connection plane. Measures ping RTT (pure protocol + kernel hop), served
 // encode/decode round-trip throughput against the in-process one-shot path
 // on the same warm CodecContext, served decode TTFB (the §3.4
 // streamed-output property must survive the wire), the event plane's
 // idle-connection scaling (ping RTT and process thread count with 0, 256
 // and 1024 parked keep-alive TCP connections), and a two-daemon TCP soak
 // (concurrent well-behaved clients + hostile dribblers; request p50/p99
-// and the §6.6 requeue rate). Appends a "bench": "server" entry to the
-// committed BENCH_hotpath.json trajectory next to micro_hotpath's per-PR
-// entries (docs/OPERATIONS.md explains how to read the file).
+// and the §6.6 requeue rate through a FleetClient). Appends a "bench":
+// "server" entry to the committed BENCH_hotpath.json trajectory next to
+// micro_hotpath's per-PR entries (docs/OPERATIONS.md explains how to read
+// the file).
 //
 // Flags: --full for the larger corpus band, --out <path> for the JSON,
 // --pr <n> for the trajectory entry id (default: this PR),
@@ -31,7 +32,7 @@
 #include "leptond/event_server.h"
 #include "server/client.h"
 #include "server/endpoint.h"
-#include "server/server.h"
+#include "storage/fleet_client.h"
 #include "util/rng.h"
 
 namespace {
@@ -62,7 +63,7 @@ struct TransportNumbers {
   double ttfb_p50 = 0, ttfb_p95 = 0;  // ms
 };
 
-// The served measurements against one endpoint (either transport/plane).
+// The served measurements against one endpoint (either transport).
 TransportNumbers measure_endpoint(
     const std::string& endpoint, double mb,
     const std::vector<std::vector<std::uint8_t>>& files,
@@ -123,12 +124,14 @@ int main(int argc, char** argv) {
 
   lepton::CodecContext ctx(4);
 
-  // Thread plane on AF_UNIX (the PR 5 shape) and event plane on TCP (the
-  // leptond shape) — served throughput must be transport-invariant.
-  lepton::server::ServerConfig cfg;
-  cfg.socket_path = "/tmp/lepton_micro_server_" +
-                    std::to_string(static_cast<long>(::getpid())) + ".sock";
-  lepton::server::LeptonServer srv(cfg, &ctx);
+  // The event plane on AF_UNIX (the blockserver-to-daemon hop) and on TCP
+  // (the leptond fleet shape) — served throughput must be
+  // transport-invariant.
+  lepton::leptond::EventServerConfig uc;
+  uc.listen = "unix:/tmp/lepton_micro_server_" +
+              std::to_string(static_cast<long>(::getpid())) + ".sock";
+  uc.workers = 4;
+  lepton::leptond::EventServer srv(std::move(uc), &ctx);
   lepton::leptond::EventServerConfig ec;
   ec.listen = "tcp:127.0.0.1:0";
   ec.workers = 4;
@@ -177,7 +180,7 @@ int main(int argc, char** argv) {
 
   // ---- served, per transport ----
   TransportNumbers un, tc;
-  if (want_unix) un = measure_endpoint(srv.socket_path(), mb, files, leps);
+  if (want_unix) un = measure_endpoint(srv.bound_address(), mb, files, leps);
   if (want_tcp) {
     tc = measure_endpoint(tcp_srv.bound_address(), mb, files, leps);
   }
@@ -199,8 +202,8 @@ int main(int argc, char** argv) {
                 (std::string(name) + " served decode TTFB").c_str(),
                 t.ttfb_p50, t.ttfb_p95);
   };
-  if (want_unix) print_transport("unix/thread-plane", un);
-  if (want_tcp) print_transport("tcp/event-plane", tc);
+  if (want_unix) print_transport("unix", un);
+  if (want_tcp) print_transport("tcp", tc);
   std::printf("  (%zu corpus files, %.2f MB, warm context, best of 3)\n",
               files.size(), mb);
 
@@ -240,7 +243,8 @@ int main(int argc, char** argv) {
 
   // ---- two-daemon TCP soak: concurrency + hostiles + requeue rate ----
   // A second daemon joins; well-behaved clients convert concurrently with
-  // tight first deadlines (requeue to the other daemon, patient), while
+  // tight first deadlines (the FleetClient requeues to the other daemon,
+  // patiently), while
   // hostile half-frame dribblers squat on the loops. The §6.6 shape under
   // load: every request converts, p99 stays bounded, hostiles cost nothing.
   std::size_t soak_requests = 0, soak_requeues = 0, soak_failures = 0;
@@ -265,42 +269,33 @@ int main(int argc, char** argv) {
 
     const int kThreads = full ? 8 : 4;
     const int kPerThread = full ? 12 : 6;
+    lepton::storage::FleetClientConfig fcfg;
+    fcfg.endpoints = {eps[0], eps[1]};
+    fcfg.first_deadline = std::chrono::milliseconds(20);  // trips under load
+    fcfg.retry_deadline = std::chrono::milliseconds(0);   // patient retry
+    fcfg.max_attempts = 2;
+    fcfg.least_in_flight = false;
+    fcfg.backoff_base = std::chrono::milliseconds(0);
+    fcfg.breaker_threshold = 1;
+    lepton::storage::FleetClient fleet(fcfg);
     std::mutex mu;
     lepton::util::Percentiles lat_ms;
-    std::atomic<std::size_t> requeues{0}, failures{0};
+    std::atomic<std::size_t> failures{0};
     auto soak_worker = [&](int tix) {
       lepton::util::Rng rng(1000 + static_cast<std::uint64_t>(tix));
       for (int i = 0; i < kPerThread; ++i) {
         const auto& body = files[static_cast<std::size_t>(
             rng.below(static_cast<std::uint64_t>(files.size())))];
         auto t0 = std::chrono::steady_clock::now();
-        std::size_t target = static_cast<std::size_t>(rng.below(2));
-        lepton::server::RequestOptions opts;
-        opts.deadline = std::chrono::milliseconds(20);  // trips under load
-        bool done = false;
-        for (int attempt = 0; attempt < 2 && !done; ++attempt) {
-          auto cli = lepton::server::LeptonClient::connect(eps[target]);
-          auto r = cli.ok() ? cli.encode({body.data(), body.size()}, opts)
-                            : lepton::server::RequestResult{};
-          if (r.ok()) {
-            done = true;
-            break;
-          }
-          bool requeue_worthy =
-              !r.transport_ok ||
-              r.code == lepton::util::ExitCode::kTimeout ||
-              r.code == lepton::util::ExitCode::kServerShutdown;
-          if (!requeue_worthy) break;  // content classification: final
-          requeues.fetch_add(1);
-          target = 1 - target;       // §6.6: the other daemon
-          opts.deadline = std::chrono::milliseconds(0);  // patient retry
-        }
+        auto tr = fleet.convert(lepton::storage::FleetOp::kEncode, body);
         double ms = 1e3 * std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
         std::lock_guard<std::mutex> lk(mu);
         lat_ms.add(ms);
-        if (!done) failures.fetch_add(1);
+        if (tr.final_code != lepton::util::ExitCode::kSuccess) {
+          failures.fetch_add(1);
+        }
       }
     };
     std::vector<std::thread> soakers;
@@ -310,7 +305,7 @@ int main(int argc, char** argv) {
 
     soak_requests = static_cast<std::size_t>(kThreads) *
                     static_cast<std::size_t>(kPerThread);
-    soak_requeues = requeues.load();
+    soak_requeues = fleet.metrics().requeues;
     soak_failures = failures.load();
     soak_p50_ms = lat_ms.percentile(50);
     soak_p99_ms = lat_ms.percentile(99);

@@ -3,8 +3,7 @@
 //   leptond --listen tcp:0.0.0.0:2929 --workers 4 --shutoff-file /dev/shm/ls
 //
 // Serves the docs/PROTOCOL.md frame protocol over TCP or AF_UNIX with the
-// event-driven connection plane (event_server.h) or the thread-per-
-// connection plane (--plane thread). Supervision contract:
+// event-driven connection plane (event_server.h). Supervision contract:
 //   SIGTERM / SIGINT  graceful drain (in-flight requests run to their
 //                     trailer), then exit 0
 //   SIGHUP            re-stat the shutoff file now (bypasses the 250 ms
@@ -25,33 +24,11 @@
 #include "lepton/store.h"
 #include "leptond/config.h"
 #include "leptond/event_server.h"
-#include "server/server.h"
 #include "util/failpoint.h"
 
 namespace {
 
 using lepton::leptond::DaemonConfig;
-
-// Either plane behind one daemon-facing surface.
-struct Plane {
-  std::unique_ptr<lepton::leptond::EventServer> event;
-  std::unique_ptr<lepton::server::LeptonServer> thread;
-
-  bool start() { return event ? event->start() : thread->start(); }
-  void stop() {
-    if (event) {
-      event->stop();
-    } else {
-      thread->stop();
-    }
-  }
-  const std::string& bound() const {
-    return event ? event->bound_address() : thread->bound_address();
-  }
-  lepton::server::ServerStats stats() const {
-    return event ? event->stats() : thread->stats();
-  }
-};
 
 void log_line(const DaemonConfig& cfg, const std::string& s) {
   if (cfg.quiet) return;
@@ -123,48 +100,29 @@ int main(int argc, char** argv) {
   lepton::CodecContext* ctx_p =
       ctx ? ctx.get() : &lepton::default_context();
 
-  Plane plane;
-  if (cfg.plane == "event") {
-    lepton::leptond::EventServerConfig ec;
-    ec.listen = cfg.listen;
-    ec.workers = cfg.workers;
-    ec.service.max_in_flight = cfg.max_in_flight;
-    ec.service.max_body_bytes = cfg.max_body_bytes;
-    ec.service.idle_read_timeout =
-        std::chrono::milliseconds(cfg.idle_timeout_ms);
-    ec.service.decode_cache_bytes =
-        static_cast<std::size_t>(cfg.decode_cache_mb) << 20;
-    ec.service.store = &store;
-    plane.event =
-        std::make_unique<lepton::leptond::EventServer>(std::move(ec), ctx_p);
-  } else {
-    lepton::server::ServerConfig sc;
-    sc.listen = cfg.listen;
-    sc.max_in_flight = cfg.max_in_flight;
-    sc.max_body_bytes = cfg.max_body_bytes;
-    sc.idle_read_timeout = std::chrono::milliseconds(cfg.idle_timeout_ms);
-    sc.decode_cache_bytes =
-        static_cast<std::size_t>(cfg.decode_cache_mb) << 20;
-    sc.store = &store;
-    plane.thread =
-        std::make_unique<lepton::server::LeptonServer>(std::move(sc), ctx_p);
-  }
-
-  if (!plane.start()) {
-    std::string detail = plane.event ? plane.event->last_error()
-                                     : std::string(std::strerror(errno));
+  lepton::leptond::EventServerConfig ec;
+  ec.listen = cfg.listen;
+  ec.workers = cfg.workers;
+  ec.service.max_in_flight = cfg.max_in_flight;
+  ec.service.max_body_bytes = cfg.max_body_bytes;
+  ec.service.idle_read_timeout = std::chrono::milliseconds(cfg.idle_timeout_ms);
+  ec.service.decode_cache_bytes =
+      static_cast<std::size_t>(cfg.decode_cache_mb) << 20;
+  ec.service.store = &store;
+  lepton::leptond::EventServer server(std::move(ec), ctx_p);
+  if (!server.start()) {
     std::fprintf(stderr, "leptond: cannot listen on %s: %s\n",
-                 cfg.listen.c_str(), detail.c_str());
+                 cfg.listen.c_str(), server.last_error().c_str());
     if (!cfg.pidfile.empty()) ::unlink(cfg.pidfile.c_str());
     return 1;
   }
 
-  log_line(cfg, "listening on " + plane.bound() + " (plane=" + cfg.plane +
-                    " workers=" + std::to_string(cfg.workers) +
+  log_line(cfg, "listening on " + server.bound_address() +
+                    " (workers=" + std::to_string(cfg.workers) +
                     " pid=" + std::to_string(::getpid()) + ")");
 
   // Supervised run loop: nothing to poll but the signalfd — all serving
-  // happens on the plane's threads.
+  // happens on the server's threads.
   int exit_code = 0;
   for (bool run = true; run;) {
     signalfd_siginfo si;
@@ -193,8 +151,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  plane.stop();
-  auto s = plane.stats();
+  server.stop();
+  auto s = server.stats();
   log_line(cfg, "drained: " + std::to_string(s.requests) + " requests, " +
                     std::to_string(s.connections) + " connections served");
   if (!cfg.pidfile.empty()) ::unlink(cfg.pidfile.c_str());

@@ -3,10 +3,9 @@
 // The paper's fleet serves blockservers over local sockets and operators
 // over the network; the framing (protocol.h) is transport-agnostic, so the
 // only per-transport code in the system is here: parsing an endpoint
-// string, opening a listening socket for it, and connecting to one. Both
-// connection planes (server.h thread-per-connection, leptond/event_server.h
-// event-driven) and the client call these helpers — adding a transport
-// never touches frame or request logic.
+// string, opening a listening socket for it, and connecting to one. The
+// connection plane (leptond/event_server.h) and the client call these
+// helpers — adding a transport never touches frame or request logic.
 //
 // Endpoint strings:
 //   unix:/run/lepton.sock     AF_UNIX stream socket at that path

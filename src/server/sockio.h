@@ -1,6 +1,6 @@
 // Blocking-socket I/O helpers shared by the serving stack (internal).
 //
-// Both connection planes and the request service read frames with the same
+// The connection plane and the request service read frames with the same
 // discipline: exact-length reads, EINTR retried, a clean pre-first-byte
 // close distinguished from a mid-frame truncation, and — for request
 // bodies — an *absolute* wall budget re-armed onto SO_RCVTIMEO before

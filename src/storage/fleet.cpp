@@ -1,8 +1,7 @@
 #include "storage/fleet.h"
 
 #include <algorithm>
-
-#include "server/client.h"
+#include <functional>
 
 namespace lepton::storage {
 namespace {
@@ -117,153 +116,6 @@ FleetMetrics simulate_fleet(const FleetConfig& cfg, const WorkloadModel& wl,
 
   sim.run_until(horizon);
   return out;
-}
-
-namespace {
-
-// One PING against an endpoint under the health-check transport cap.
-// Healthy = the probe conversed cleanly; for encode fleets a kill-switched
-// server also fails the probe (it would answer the encode kShutoff anyway).
-bool probe_healthy(const std::string& endpoint, const RequeueConfig& cfg) {
-  auto cli = server::LeptonClient::connect(endpoint);
-  if (!cli.ok()) return false;
-  server::RequestOptions opts;
-  opts.transport_timeout = cfg.health_timeout;
-  server::RequestResult r = cli.ping(opts);
-  if (!r.ok()) return false;
-  return !(cfg.op == FleetOp::kEncode && r.shutoff_engaged);
-}
-
-}  // namespace
-
-RequeueMetrics run_fleet_requeue(
-    const RequeueConfig& cfg,
-    const std::vector<std::vector<std::uint8_t>>& bodies) {
-  RequeueMetrics m;
-  if (cfg.endpoints.empty()) return m;
-  util::Rng rng(cfg.seed);
-  const auto n_servers = static_cast<std::uint64_t>(cfg.endpoints.size());
-
-  // Health-checked routing (leptond fleets): probe once up front, then
-  // route among the healthy. `healthy` always names the current candidate
-  // set; with health_check off it is the full fleet and never shrinks, so
-  // the rng draw sequence — and therefore routing — is byte-identical to
-  // the legacy path.
-  std::vector<std::size_t> healthy(cfg.endpoints.size());
-  for (std::size_t i = 0; i < healthy.size(); ++i) healthy[i] = i;
-  auto demote = [&](std::size_t server_ix) {
-    if (!cfg.health_check) return;
-    for (std::size_t i = 0; i < healthy.size(); ++i) {
-      if (healthy[i] == server_ix) {
-        healthy.erase(healthy.begin() + static_cast<std::ptrdiff_t>(i));
-        ++m.unhealthy_endpoints;
-        break;
-      }
-    }
-    // Fleet-wide outage: fall back to blind routing over the full list.
-    if (healthy.empty()) {
-      healthy.resize(cfg.endpoints.size());
-      for (std::size_t i = 0; i < healthy.size(); ++i) healthy[i] = i;
-    }
-  };
-  if (cfg.health_check) {
-    std::vector<std::size_t> up;
-    for (std::size_t i = 0; i < cfg.endpoints.size(); ++i) {
-      ++m.health_probes;
-      if (probe_healthy(cfg.endpoints[i], cfg)) {
-        up.push_back(i);
-      } else {
-        ++m.unhealthy_endpoints;
-      }
-    }
-    if (!up.empty()) healthy = std::move(up);
-  }
-
-  for (const auto& body : bodies) {
-    RequestTrace tr;
-    tr.bytes_in = body.size();
-    ++m.requests;
-
-    auto pick = static_cast<std::size_t>(
-        rng.below(static_cast<std::uint64_t>(healthy.size())));
-    auto target = healthy[pick];
-    for (int attempt = 0; attempt < cfg.max_attempts; ++attempt) {
-      // Fresh connection per attempt: the server closes after every
-      // non-success trailer, and a requeue must not depend on the state of
-      // the connection the timed-out attempt died on.
-      auto cli = server::LeptonClient::connect(cfg.endpoints[target]);
-      server::RequestOptions opts;
-      opts.deadline = attempt == 0 ? cfg.first_deadline : cfg.retry_deadline;
-      server::RequestResult res;
-      if (!cli.ok()) {
-        res.transport_ok = false;
-        res.code = util::ExitCode::kShortRead;
-        res.message = cli.message();
-      } else {
-        res = cfg.op == FleetOp::kEncode
-                  ? cli.encode({body.data(), body.size()}, opts)
-                  : cli.decode({body.data(), body.size()}, opts);
-      }
-
-      ++tr.attempts;
-      tr.total_s += res.total_s;
-      tr.final_server = static_cast<int>(target);
-      tr.final_code = res.code;
-      if (attempt == 0) {
-        tr.first_server = static_cast<int>(target);
-        tr.first_code = res.code;
-        m.first_attempt_codes.add(static_cast<unsigned>(res.code));
-      }
-      if (!res.transport_ok) {
-        ++m.transport_failures;
-        // A dead transport is the strongest health signal there is:
-        // stop routing new work at this endpoint.
-        demote(target);
-      }
-
-      // §6.6: server-local conditions — a blown time box, a dead
-      // transport, a draining or kill-switched server — earn another
-      // server; content classifications are properties of the file and
-      // never requeue (a progressive JPEG is progressive everywhere).
-      bool requeue_worthy =
-          !res.transport_ok || res.code == util::ExitCode::kTimeout ||
-          res.code == util::ExitCode::kServerShutdown;
-      if (res.ok()) {
-        tr.ttfb_s = res.ttfb_s;
-        tr.bytes_out = res.data.size();
-        tr.data = std::move(res.data);
-        ++m.succeeded;
-        break;
-      }
-      if (!requeue_worthy || attempt + 1 >= cfg.max_attempts) break;
-      ++m.requeues;
-      if (cfg.health_check) {
-        // The second server must be a different machine (§6.6) — and a
-        // healthy one. Exclude the failed target when any other healthy
-        // endpoint exists; a one-endpoint candidate set retries in place.
-        std::vector<std::size_t> others;
-        for (std::size_t s : healthy) {
-          if (s != target) others.push_back(s);
-        }
-        if (!others.empty()) {
-          target = others[static_cast<std::size_t>(
-              rng.below(static_cast<std::uint64_t>(others.size())))];
-        }
-      } else if (n_servers > 1) {
-        // The second server must be a different machine (§6.6).
-        auto next = static_cast<std::size_t>(rng.below(n_servers - 1));
-        target = next < target ? next : next + 1;
-      }
-    }
-
-    m.final_codes.add(static_cast<unsigned>(tr.final_code));
-    m.latency_s.add(tr.total_s);
-    if (tr.final_code == util::ExitCode::kSuccess) m.ttfb_s.add(tr.ttfb_s);
-    m.bytes_in += tr.bytes_in;
-    m.bytes_out += tr.bytes_out;
-    m.traces.push_back(std::move(tr));
-  }
-  return m;
 }
 
 }  // namespace lepton::storage

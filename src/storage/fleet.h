@@ -12,7 +12,6 @@
 // overhead.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,43 +64,17 @@ FleetMetrics simulate_fleet(const FleetConfig& cfg, const WorkloadModel& wl,
 
 // ---- §6.6 timeout -> requeue over real servers ------------------------------
 //
-// The simulator above models latencies; this path drives *real* conversions
-// through a fleet of LeptonServer instances (server/server.h) and
-// reproduces the paper's §6.6 contract: a conversion that exceeds its
-// timeout window is abandoned (the server's session aborts as kTimeout at
-// its next MCU-row poll) and the request is requeued on a *different*
-// server, normally with a more generous budget. Requests route uniformly at
-// random, like the production load balancers (§5.5).
+// The simulator above models latencies; storage::FleetClient
+// (fleet_client.h) drives *real* conversions through a fleet of leptond
+// daemons and reproduces the paper's §6.6 contract: a conversion that
+// exceeds its timeout window is abandoned (the server's session aborts as
+// kTimeout at its next MCU-row poll) and the request is requeued on a
+// *different* server, normally with a more generous budget. These are the
+// records it reports: one RequestTrace per request, RequeueMetrics over all.
 
 enum class FleetOp { kEncode, kDecode };
 
-struct RequeueConfig {
-  // Fleet endpoints, one per serving daemon: "unix:/path", a bare socket
-  // path, or "tcp:host:port" (server/endpoint.h) — a multi-port leptond
-  // fleet is just a vector of tcp: endpoints.
-  std::vector<std::string> endpoints;
-  FleetOp op = FleetOp::kEncode;
-  // Deadline for the first attempt; 0 = none.
-  std::chrono::milliseconds first_deadline{100};
-  // Deadline for requeued attempts; 0 = none (the paper's requeue pipeline
-  // is the patient path — the file must eventually convert or classify).
-  std::chrono::milliseconds retry_deadline{0};
-  // First try + requeues. 2 is the paper's timeout -> second-server shape.
-  int max_attempts = 2;
-  // Health-checked routing: ping-probe every endpoint up front, route and
-  // requeue among the healthy only, and demote an endpoint the moment an
-  // attempt against it fails at the transport level. For encode ops a
-  // kill-switched server (shutoff engaged in the PING trailer) counts as
-  // unhealthy — it would refuse the encode anyway. When every endpoint is
-  // unhealthy the router falls back to the full list (a blind attempt
-  // beats a guaranteed local failure). Off by default: the legacy path is
-  // byte-identical, probe-free routing.
-  bool health_check = false;
-  std::chrono::milliseconds health_timeout{250};  // per-probe transport cap
-  std::uint64_t seed = 66;  // §6.6
-};
-
-// Per-request record, in input order (tests verify byte-identity and the
+// One request's record (tests verify byte-identity and the
 // first-timeout/second-success shape from these).
 struct RequestTrace {
   int attempts = 0;
@@ -121,10 +94,8 @@ struct RequeueMetrics {
   std::uint64_t requeues = 0;            // attempts beyond the first
   std::uint64_t succeeded = 0;
   std::uint64_t transport_failures = 0;  // connect/IO-level attempt failures
-  std::uint64_t health_probes = 0;       // PINGs issued (health_check only)
+  std::uint64_t health_probes = 0;       // PING/STATS probes issued
   std::uint64_t unhealthy_endpoints = 0; // endpoints demoted by probe/attempt
-  // Self-healing client counters (FleetClient below; always zero under
-  // run_fleet_requeue, which predates breakers).
   std::uint64_t breaker_opens = 0;       // closed/half-open -> open
   std::uint64_t breaker_closes = 0;      // half-open probe succeeded
   std::uint64_t half_open_probes = 0;    // requests routed as breaker probes
@@ -138,17 +109,6 @@ struct RequeueMetrics {
   util::Percentiles latency_s;           // end-to-end, retries included
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  std::vector<RequestTrace> traces;
 };
-
-// Routes each body through the fleet with the §6.6 requeue rule: requeue
-// on server-local failures — kTimeout, kServerShutdown (draining or
-// kill-switched machine), or a transport failure — never on a content
-// classification (a progressive JPEG is progressive on every server).
-// Serial by design — the per-request stats stay attributable and the run
-// is reproducible.
-RequeueMetrics run_fleet_requeue(
-    const RequeueConfig& cfg,
-    const std::vector<std::vector<std::uint8_t>>& bodies);
 
 }  // namespace lepton::storage

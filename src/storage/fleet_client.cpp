@@ -165,7 +165,8 @@ int FleetClient::probe_now() {
   return static_cast<int>(jobs.size());
 }
 
-int FleetClient::pick_locked(std::chrono::steady_clock::time_point now) {
+int FleetClient::pick_locked(std::chrono::steady_clock::time_point now,
+                             int avoid) {
   // Cooldowns that have elapsed make their breakers probe-able.
   for (Peer& p : peers_) {
     if (p.state == BreakerState::kOpen && now >= p.open_until) {
@@ -176,6 +177,11 @@ int FleetClient::pick_locked(std::chrono::steady_clock::time_point now) {
   std::vector<std::size_t> closed;
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     if (peers_[i].state == BreakerState::kClosed) closed.push_back(i);
+  }
+  // §6.6: a requeue goes to a different machine than the attempt that
+  // just failed; a one-candidate set retries in place.
+  if (avoid >= 0 && closed.size() > 1) {
+    std::erase(closed, static_cast<std::size_t>(avoid));
   }
   if (!closed.empty()) {
     if (!cfg_.least_in_flight) {
@@ -245,13 +251,11 @@ RequestTrace FleetClient::convert(FleetOp op,
     ++metrics_.requests;
   }
 
+  int ix = -1;
   for (int attempt = 0; attempt < cfg_.max_attempts; ++attempt) {
-    int ix;
-    bool probe_request = false;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      const std::uint64_t probes_before = metrics_.half_open_probes;
-      ix = pick_locked(std::chrono::steady_clock::now());
+      ix = pick_locked(std::chrono::steady_clock::now(), ix);
       if (ix < 0) {
         // Breaker set exhausted: fail fast in the §6.6 server-local class
         // so callers degrade (put() goes pass-through) instead of waiting
@@ -265,18 +269,17 @@ RequestTrace FleetClient::convert(FleetOp op,
         tr.final_code = ExitCode::kServerShutdown;
         break;
       }
-      probe_request = metrics_.half_open_probes != probes_before;
       ++peers_[static_cast<std::size_t>(ix)].local_outstanding;
     }
-    (void)probe_request;
 
     std::string endpoint;
     {
       std::lock_guard<std::mutex> lk(mu_);
       endpoint = peers_[static_cast<std::size_t>(ix)].endpoint;
     }
-    // Fresh connection per attempt, as in run_fleet_requeue: the server
-    // closes after every non-success trailer.
+    // Fresh connection per attempt: the server closes after every
+    // non-success trailer, and a requeue must not depend on the state of
+    // the connection the failed attempt died on.
     auto cli = server::LeptonClient::connect(endpoint);
     server::RequestOptions opts;
     opts.deadline = attempt == 0 ? cfg_.first_deadline : cfg_.retry_deadline;

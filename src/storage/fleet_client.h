@@ -1,9 +1,9 @@
-// Self-healing fleet client (§6 deployment, ROADMAP item 3).
-//
-// run_fleet_requeue (fleet.h) is a per-call router: it probes once, routes
-// uniformly at random, and allows one requeue. FleetClient is the
-// persistent promotion of that path — the object a blockserver keeps for
-// the life of the process:
+// Self-healing fleet client (§6 deployment): the one router between a
+// blockserver and its leptond fleet, kept for the life of the process.
+// It carries the §6.6 requeue rule — a request that fails server-locally
+// (time box blown, transport dead, server draining or kill-switched) is
+// requeued on a *different* endpoint whenever another candidate exists —
+// plus:
 //
 //   * a background prober re-pings every endpoint on an interval with
 //     jitter, so recovery is discovered without waiting for a request to
@@ -12,8 +12,7 @@
 //     transport failures -> half-open after a cooldown, where exactly one
 //     probe request (or a prober PING) is allowed through — success closes
 //     the breaker, failure re-opens it;
-//   * retry budgets with exponential backoff + jitter between attempts,
-//     replacing the bare "one requeue" rule;
+//   * retry budgets with exponential backoff + jitter between attempts;
 //   * least-in-flight routing fed by STATS polling (the daemon's
 //     `in_flight` key) plus locally outstanding requests, instead of
 //     uniform random;
@@ -25,6 +24,13 @@
 // Determinism: all routing/jitter randomness draws from one seeded Rng, so
 // a chaos run (tests/fault_test.cpp, examples/chaos_fleet.cpp) replays
 // from its seed.
+//
+// The paper's plain §6.6 shape — uniform random routing, one requeue, an
+// endpoint dropped from rotation at its first transport failure — is a
+// configuration, not a second router: least_in_flight = false,
+// backoff_base = 0, breaker_threshold = 1, max_attempts = 2, and one
+// probe_now() up front when the run should start from health-checked
+// endpoints.
 #pragma once
 
 #include <chrono>
@@ -47,11 +53,14 @@ enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
 const char* breaker_state_name(BreakerState s);
 
 struct FleetClientConfig {
-  // Endpoints as in RequeueConfig: "unix:/path", bare path, "tcp:host:port".
+  // Fleet endpoints, one per serving daemon: "unix:/path", a bare socket
+  // path, or "tcp:host:port" (server/endpoint.h).
   std::vector<std::string> endpoints;
   FleetOp op = FleetOp::kEncode;
 
-  // Attempt shaping (RequeueConfig semantics, budget > 2).
+  // Attempt shaping. Deadline for the first attempt and for requeued ones
+  // (0 = none: the requeue pipeline is the patient path — the file must
+  // eventually convert or classify); first try + requeues.
   std::chrono::milliseconds first_deadline{100};
   std::chrono::milliseconds retry_deadline{0};
   int max_attempts = 3;
@@ -154,8 +163,10 @@ class FleetClient {
     std::uint64_t failures = 0;
   };
 
-  // All three take mu_ held.
-  int pick_locked(std::chrono::steady_clock::time_point now);
+  // All three take mu_ held. pick_locked avoids endpoint `avoid` (the one
+  // whose attempt just failed; -1 = none) whenever another closed
+  // endpoint is available.
+  int pick_locked(std::chrono::steady_clock::time_point now, int avoid);
   void record_success_locked(std::size_t ix);
   void record_transport_failure_locked(std::size_t ix);
 

@@ -368,6 +368,9 @@ TEST_F(FaultTest, RoutesToTheLeastLoadedEndpoint) {
   FleetClientConfig cfg;
   cfg.endpoints = {a.bound_address(), b.bound_address()};
   cfg.max_attempts = 1;
+  // The test asserts routing, not latency: no deadline, so a slowed-down
+  // (sanitizer) encode cannot time out into a routing failure.
+  cfg.first_deadline = std::chrono::milliseconds(0);
   FleetClient fc(cfg);
   // Pretend STATS reported server 0 heavily loaded: every pick must go to 1.
   fc.inject_reported_in_flight(0, 50);
@@ -379,6 +382,42 @@ TEST_F(FaultTest, RoutesToTheLeastLoadedEndpoint) {
   // A STATS probe pass refreshes the stale depth from the live server.
   EXPECT_EQ(fc.probe_now(), 2);
   EXPECT_EQ(fc.endpoints()[0].server_in_flight, 0u);
+  a.stop();
+  b.stop();
+}
+
+// ---- §6.6 requeue target ---------------------------------------------------
+
+TEST_F(FaultTest, RequeueGoesToTheOtherEndpoint) {
+  // Every first attempt times out: the server sits on each encode for
+  // 50 ms against a 20 ms first deadline, while the requeued attempt has
+  // no deadline and converts. With two healthy endpoints, every requeue
+  // must land on the endpoint the first attempt did not use (§6.6).
+  lepton::CodecContext ctx(2);
+  EventServer a = make_tcp_server(&ctx);
+  EventServer b = make_tcp_server(&ctx);
+  ASSERT_TRUE(a.start()) << a.last_error();
+  ASSERT_TRUE(b.start()) << b.last_error();
+  std::vector<std::uint8_t> jpeg = lepton::corpus::jpeg_of_size(24 << 10, 19);
+
+  FleetClientConfig cfg;
+  cfg.endpoints = {a.bound_address(), b.bound_address()};
+  cfg.first_deadline = std::chrono::milliseconds(20);
+  cfg.retry_deadline = std::chrono::milliseconds(0);
+  cfg.max_attempts = 2;
+  cfg.backoff_base = std::chrono::milliseconds(0);
+  FleetClient fc(cfg);
+
+  ASSERT_TRUE(fp::arm("service.encode=delay:50ms"));
+  for (int i = 0; i < 8; ++i) {
+    auto tr = fc.convert(FleetOp::kEncode, jpeg);
+    EXPECT_EQ(tr.first_code, ExitCode::kTimeout) << "request " << i;
+    ASSERT_EQ(tr.final_code, ExitCode::kSuccess) << "request " << i;
+    ASSERT_EQ(tr.attempts, 2);
+    EXPECT_NE(tr.final_server, tr.first_server)
+        << "request " << i << ": the requeue retried the failed endpoint";
+  }
+  EXPECT_EQ(fc.metrics().requeues, 8u);
   a.stop();
   b.stop();
 }

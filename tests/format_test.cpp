@@ -1,20 +1,32 @@
 // Tests for the Lepton container format (§A.1): serialization round trips
 // across segment counts and payload sizes, interleaving behaviour, version
-// gating (the §6.7 old-version incident), structural fuzzing, and the
+// gating (the §6.7 old-version incident), the golden v2 fixture, structural
+// fuzzing, and the
 // SECCOMP sandbox glue (§5.1).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <fstream>
+#include <string>
+
+#include "lepton/context.h"
 #include "lepton/format.h"
 #include "lepton/sandbox.h"
+#include "lepton/session.h"
 #include "util/rng.h"
 
 namespace lc = lepton::core;
 namespace jf = lepton::jpegfmt;
+using lepton::util::ExitCode;
 
 namespace {
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
 
 lc::ContainerHeader sample_header(int nseg, lepton::util::Rng& rng) {
   lc::ContainerHeader h;
@@ -113,14 +125,14 @@ INSTANTIATE_TEST_SUITE_P(SegmentCounts, FormatRoundTrip,
 
 TEST(Format, RejectsWrongVersion) {
   // §6.7: an accidentally deployed incompatible version must fail loudly,
-  // not decode garbage. The version matrix: v2 and v3 parse, anything else
-  // (the retired version 1 included) is rejected.
+  // not decode garbage. Only v2 parses: the pre-overhaul version 1 and the
+  // retired coder-lanes version 3 are rejected like any unknown byte.
   lepton::util::Rng rng(5);
   auto h = sample_header(2, rng);
   auto arith = sample_arith(2, rng);
   auto bytes = lc::serialize_container(h, arith);
-  for (std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{4},
-                           std::uint8_t{99}}) {
+  for (std::uint8_t bad : {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{3},
+                           std::uint8_t{4}, std::uint8_t{99}}) {
     auto mutated = bytes;
     mutated[2] = bad;  // version byte
     EXPECT_THROW(lc::parse_container({mutated.data(), mutated.size()}),
@@ -129,90 +141,54 @@ TEST(Format, RejectsWrongVersion) {
   }
 }
 
-namespace {
+TEST(Format, GoldenV2FixtureDecodesByteIdentically) {
+  // The committed fixture was encoded by the v2-era encoder; decoding it
+  // byte-identically is the standing back-compat gate (runs under the
+  // plain and sanitizer jobs alike).
+  auto jpeg = read_file(std::string(LEPTON_TEST_DATA_DIR) + "/golden_v2.jpg");
+  auto lep = read_file(std::string(LEPTON_TEST_DATA_DIR) + "/golden_v2.lep");
+  ASSERT_FALSE(jpeg.empty());
+  ASSERT_FALSE(lep.empty());
+  ASSERT_EQ(lep[2], lc::kFormatVersion);
 
-// Splits each segment's payload length into a consistent v3 lane table.
-void assign_lane_tables(lc::ContainerHeader& h,
-                        const std::vector<std::vector<std::uint8_t>>& arith,
-                        lepton::util::Rng& rng) {
-  h.version = lc::kFormatVersionV3;
-  for (std::size_t i = 0; i < h.segments.size(); ++i) {
-    std::size_t lanes = 1 + rng.below(4);
-    auto total = static_cast<std::uint32_t>(arith[i].size());
-    auto& ll = h.segments[i].lane_lens;
-    ll.assign(lanes, 0);
-    for (std::size_t k = 0; k + 1 < lanes; ++k) {
-      ll[k] = static_cast<std::uint32_t>(rng.below(total / lanes + 1));
-      total -= ll[k];
-    }
-    ll[lanes - 1] = total;
-  }
+  lepton::VectorSink sink;
+  lepton::DecodeStats stats;
+  ASSERT_EQ(lepton::decode_lepton({lep.data(), lep.size()}, sink, {},
+                                  lepton::default_context(), &stats),
+            ExitCode::kSuccess);
+  EXPECT_EQ(sink.data, jpeg);
+  EXPECT_TRUE(stats.payload_exhausted);
+  EXPECT_FALSE(stats.payload_overrun);
+
+  // And the same image still round-trips through today's encoder, which
+  // writes v2.
+  auto enc = lepton::encode_jpeg({jpeg.data(), jpeg.size()});
+  ASSERT_TRUE(enc.ok());
+  EXPECT_EQ(enc.data[2], lc::kFormatVersion);
+  auto dec = lepton::decode_lepton({enc.data.data(), enc.data.size()});
+  ASSERT_TRUE(dec.ok());
+  EXPECT_EQ(dec.data, jpeg);
 }
 
-}  // namespace
+TEST(Format, RetiredVersion3ClassifiesAsUnsupported) {
+  // A container stamped with the retired coder-lanes version byte is
+  // refused by both decode entry points with the §6.7 classification,
+  // before any output byte.
+  auto lep = read_file(std::string(LEPTON_TEST_DATA_DIR) + "/golden_v2.lep");
+  ASSERT_FALSE(lep.empty());
+  lep[2] = 3;
+  lepton::VectorSink sink;
+  EXPECT_EQ(lepton::decode_lepton({lep.data(), lep.size()}, sink, {}),
+            ExitCode::kUnsupportedJpeg);
+  EXPECT_TRUE(sink.data.empty());
 
-TEST(Format, V3LaneTablesRoundTrip) {
-  lepton::util::Rng rng(77);
-  auto h = sample_header(4, rng);
-  auto arith = sample_arith(4, rng);
-  assign_lane_tables(h, arith, rng);
-  auto bytes = lc::serialize_container(h, arith);
-  EXPECT_EQ(bytes[2], lc::kFormatVersionV3);
-
-  auto parsed = lc::parse_container({bytes.data(), bytes.size()});
-  EXPECT_EQ(parsed.header.version, lc::kFormatVersionV3);
-  ASSERT_EQ(parsed.header.segments.size(), h.segments.size());
-  for (std::size_t i = 0; i < h.segments.size(); ++i) {
-    EXPECT_EQ(parsed.header.segments[i].lane_lens, h.segments[i].lane_lens);
-    EXPECT_EQ(parsed.arith[i], arith[i]);
-  }
-}
-
-TEST(Format, RejectsCorruptLaneTable) {
-  lepton::util::Rng rng(78);
-  // Lane lengths that do not sum to the payload length.
-  {
-    auto h = sample_header(2, rng);
-    auto arith = sample_arith(2, rng);
-    assign_lane_tables(h, arith, rng);
-    h.segments[1].lane_lens.back() += 1;
-    auto bytes = lc::serialize_container(h, arith);
-    EXPECT_THROW(lc::parse_container({bytes.data(), bytes.size()}),
-                 jf::ParseError);
-  }
-  // More lanes than kMaxLanes admits.
-  {
-    auto h = sample_header(1, rng);
-    auto arith = sample_arith(1, rng);
-    h.version = lc::kFormatVersionV3;
-    h.segments[0].lane_lens.assign(lc::kMaxLanes + 1, 0);
-    h.segments[0].lane_lens.back() =
-        static_cast<std::uint32_t>(arith[0].size());
-    auto bytes = lc::serialize_container(h, arith);
-    EXPECT_THROW(lc::parse_container({bytes.data(), bytes.size()}),
-                 jf::ParseError);
-  }
-}
-
-TEST(Format, V3StructuralFuzzNeverCrashes) {
-  lepton::util::Rng rng(79);
-  auto h = sample_header(4, rng);
-  auto arith = sample_arith(4, rng);
-  assign_lane_tables(h, arith, rng);
-  auto bytes = lc::serialize_container(h, arith);
-  for (int trial = 0; trial < 500; ++trial) {
-    auto mutated = bytes;
-    for (int i = 0; i < 8; ++i) {
-      mutated[rng.below(mutated.size())] =
-          static_cast<std::uint8_t>(rng.below(256));
-    }
-    try {
-      (void)lc::parse_container({mutated.data(), mutated.size()});
-    } catch (const jf::ParseError&) {
-      // classified rejection is the expected outcome
-    }
-  }
-  SUCCEED();
+  lepton::VectorSink session_sink;
+  lepton::DecodeSession session(session_sink);
+  EXPECT_EQ(session.feed({lep.data(), lep.size()}),
+            ExitCode::kUnsupportedJpeg);
+  EXPECT_EQ(session.finish(), ExitCode::kUnsupportedJpeg);
+  EXPECT_EQ(session.message(), "unsupported container version");
+  EXPECT_TRUE(session_sink.data.empty());
 }
 
 TEST(Format, RejectsBadMagicAndTruncation) {

@@ -8,6 +8,7 @@
 #include "corpus/corpus.h"
 #include "jpeg/jfif_builder.h"
 #include "lepton/lepton.h"
+#include "lepton/plan.h"
 #include "util/rng.h"
 
 namespace jf = lepton::jpegfmt;
@@ -202,6 +203,32 @@ TEST(LeptonCodec, HostileContainersNeverCrash) {
     (void)lepton::decode_lepton({mutated.data(), mutated.size()}, sink);
   }
   SUCCEED();
+}
+
+TEST(LeptonCodec, ShortSegmentPayloadReportsOverrun) {
+  // Structurally valid container whose *content* is short: keep only a
+  // sliver of the segment's payload so its BoolDecoder certainly pops past
+  // the end within the first rows. The overrun must reach DecodeStats even
+  // though the decode classifies as failed.
+  auto jpeg = make_jpeg(192, 160, 1807);
+  lepton::EncodeOptions eo;
+  eo.force_threads = 1;
+  auto enc = lepton::encode_jpeg({jpeg.data(), jpeg.size()}, eo);
+  ASSERT_TRUE(enc.ok());
+  auto pc = lepton::core::parse_container({enc.data.data(), enc.data.size()});
+  ASSERT_EQ(pc.header.segments.size(), 1u);
+  ASSERT_GT(pc.arith[0].size(), 16u);
+  pc.arith[0].resize(16);
+  lepton::VectorSink sink;
+  lepton::DecodeStats stats;
+  try {
+    lepton::core::decode_container(pc, sink, {}, lepton::default_context(),
+                                   &stats);
+  } catch (const jf::ParseError&) {
+    // wrong byte count / classified failure is the expected outcome
+  }
+  EXPECT_TRUE(stats.payload_overrun);
+  EXPECT_FALSE(stats.payload_exhausted);
 }
 
 // ---- Chunk layer -----------------------------------------------------------

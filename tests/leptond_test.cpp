@@ -5,11 +5,11 @@
 // byte-identical to the AF_UNIX one and to the in-process codec); (2) the
 // event plane's scaling property — a thousand idle keep-alive connections
 // hold zero threads beyond the fixed pool while a live request still
-// converts; (3) PR 5's hostile-client semantics regression-tested over the
-// event plane (deadline trailers, admission bounds, slow-loris wall
-// budget, garbage/oversize/version rejection); (4) the operator surface —
-// STATS text, daemon config parsing, EMFILE accept survival on both
-// planes, and health-checked fleet requeue over real TCP daemons.
+// converts; (3) the hostile-client semantics over the event plane
+// (deadline trailers, admission bounds, slow-loris wall budget,
+// garbage/oversize/version rejection); (4) the operator surface — STATS
+// text, daemon config parsing, EMFILE accept survival, and health-checked
+// fleet requeue over real TCP daemons.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -21,7 +21,6 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,8 +34,7 @@
 #include "server/client.h"
 #include "server/endpoint.h"
 #include "server/protocol.h"
-#include "server/server.h"
-#include "storage/fleet.h"
+#include "storage/fleet_client.h"
 #include "util/failpoint.h"
 
 namespace {
@@ -46,8 +44,9 @@ using lepton::leptond::EventServerConfig;
 using lepton::server::Endpoint;
 using lepton::server::FrameType;
 using lepton::server::LeptonClient;
-using lepton::server::LeptonServer;
-using lepton::server::ServerConfig;
+using lepton::storage::FleetClient;
+using lepton::storage::FleetClientConfig;
+using lepton::storage::FleetOp;
 using lepton::server::ShutoffOp;
 using lepton::util::ExitCode;
 
@@ -63,6 +62,21 @@ EventServer make_tcp_server(lepton::CodecContext* ctx,
   ec.listen = "tcp:127.0.0.1:0";
   ec.workers = workers;
   return EventServer(std::move(ec), ctx);
+}
+
+// The paper's plain §6.6 router as a FleetClient configuration: uniform
+// routing, one requeue to a different server, no backoff, and an endpoint
+// out of rotation at its first transport failure.
+FleetClientConfig requeue_config(std::vector<std::string> endpoints,
+                                 FleetOp op) {
+  FleetClientConfig cfg;
+  cfg.endpoints = std::move(endpoints);
+  cfg.op = op;
+  cfg.max_attempts = 2;
+  cfg.least_in_flight = false;
+  cfg.backoff_base = std::chrono::milliseconds(0);
+  cfg.breaker_threshold = 1;
+  return cfg;
 }
 
 template <typename Pred>
@@ -220,18 +234,23 @@ TEST(DaemonConfig, FlagsAndConfigFileCompose) {
   bool help = false;
   // Flags override the file; --config position does not matter.
   ASSERT_TRUE(ld::parse_args(
-      {"--workers=2", "--config", path, "--plane", "thread"}, &cfg, &err,
+      {"--workers=2", "--config", path, "--max-in-flight", "6"}, &cfg, &err,
       &help))
       << err;
   EXPECT_FALSE(help);
   EXPECT_EQ(cfg.listen, "tcp:0.0.0.0:4000");
   EXPECT_EQ(cfg.workers, 2) << "flag must override the config file";
-  EXPECT_EQ(cfg.plane, "thread");
+  EXPECT_EQ(cfg.max_in_flight, 6);
   EXPECT_EQ(cfg.idle_timeout_ms, 5000u);
   ::unlink(path.c_str());
 
+  // The event plane is the only connection plane: the retired --plane
+  // switch is an unknown option in either spelling, and in config files.
   cfg = {};
-  EXPECT_FALSE(ld::parse_args({"--plane", "fancy"}, &cfg, &err, &help));
+  EXPECT_FALSE(ld::parse_args({"--plane", "thread"}, &cfg, &err, &help));
+  EXPECT_NE(err.find("plane"), std::string::npos) << err;
+  EXPECT_FALSE(ld::parse_args({"--plane=event"}, &cfg, &err, &help));
+  EXPECT_FALSE(ld::parse_config_text("plane event\n", &cfg, &err));
   EXPECT_FALSE(ld::parse_args({"--workers", "0"}, &cfg, &err, &help));
   EXPECT_FALSE(ld::parse_args({"--no-such-flag", "1"}, &cfg, &err, &help));
   EXPECT_TRUE(ld::parse_args({"--help"}, &cfg, &err, &help));
@@ -348,25 +367,26 @@ TEST(DaemonConfig, PidfileWriteIsCrashAtomicUnderTornWrite) {
 
 // ---- cross-transport byte identity ------------------------------------------
 
-TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransportsAndPlanes) {
+TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransports) {
   lepton::CodecContext ctx(4);
 
-  // The same conversation over three serving stacks: in-process one-shot,
-  // thread plane on AF_UNIX, event plane on TCP. One wire format, one
-  // service path — every container and every decoded JPEG byte-identical.
+  // The same conversation three ways: in-process one-shot, the event plane
+  // on AF_UNIX, the event plane on TCP. One wire format, one service path
+  // — every container and every decoded JPEG byte-identical.
   auto jpeg = lepton::corpus::jpeg_of_size(60 << 10, 42);
   auto one_shot = ctx.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(one_shot.ok());
 
-  ServerConfig uc;
-  uc.socket_path = unique_sock("xt");
-  LeptonServer unix_srv(uc, &ctx);
-  ASSERT_TRUE(unix_srv.start());
+  EventServerConfig uc;
+  uc.listen = "unix:" + unique_sock("xt");
+  uc.workers = 2;
+  EventServer unix_srv(std::move(uc), &ctx);
+  ASSERT_TRUE(unix_srv.start()) << unix_srv.last_error();
 
   EventServer tcp_srv = make_tcp_server(&ctx);
   ASSERT_TRUE(tcp_srv.start()) << tcp_srv.last_error();
 
-  auto unix_cli = LeptonClient::connect(unix_srv.socket_path());
+  auto unix_cli = LeptonClient::connect(unix_srv.bound_address());
   ASSERT_TRUE(unix_cli.ok()) << unix_cli.message();
   auto tcp_cli = LeptonClient::connect(tcp_srv.bound_address());
   ASSERT_TRUE(tcp_cli.ok()) << tcp_cli.message();
@@ -392,38 +412,6 @@ TEST(LeptondTest, TcpRoundTripByteIdenticalAcrossTransportsAndPlanes) {
   unix_srv.stop();
   tcp_srv.stop();
   EXPECT_FALSE(tcp_srv.running());
-}
-
-TEST(LeptondTest, EventPlaneServesUnixAndThreadPlaneServesTcp) {
-  // The listener abstraction means the plane/transport matrix has no
-  // untestable corner: event plane on AF_UNIX, thread plane on TCP.
-  lepton::CodecContext ctx(2);
-  auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 77);
-
-  EventServerConfig ec;
-  ec.listen = "unix:" + unique_sock("evu");
-  ec.workers = 2;
-  EventServer ev(std::move(ec), &ctx);
-  ASSERT_TRUE(ev.start()) << ev.last_error();
-
-  ServerConfig tc;
-  tc.listen = "tcp:127.0.0.1:0";
-  LeptonServer th(tc, &ctx);
-  ASSERT_TRUE(th.start());
-  EXPECT_EQ(th.bound_address().rfind("tcp:127.0.0.1:", 0), 0u);
-
-  auto c1 = LeptonClient::connect(ev.bound_address());
-  auto c2 = LeptonClient::connect(th.bound_address());
-  ASSERT_TRUE(c1.ok()) << c1.message();
-  ASSERT_TRUE(c2.ok()) << c2.message();
-  auto r1 = c1.encode({jpeg.data(), jpeg.size()});
-  auto r2 = c2.encode({jpeg.data(), jpeg.size()});
-  ASSERT_TRUE(r1.ok()) << r1.message;
-  ASSERT_TRUE(r2.ok()) << r2.message;
-  EXPECT_EQ(r1.data, r2.data);
-
-  ev.stop();
-  th.stop();
 }
 
 // ---- connection scaling (the event plane's reason to exist) -----------------
@@ -493,6 +481,9 @@ TEST(LeptondTest, EventPlaneDeadlineExpiryReturnsTimeoutTrailer) {
   ASSERT_TRUE(r.transport_ok) << r.message;
   EXPECT_EQ(r.code, ExitCode::kTimeout);
   EXPECT_TRUE(r.data.empty());
+  EXPECT_GE(srv.stats().trailer_codes.count(
+                static_cast<unsigned>(ExitCode::kTimeout)),
+            1u);
   srv.stop();
 }
 
@@ -709,27 +700,15 @@ TEST(LeptondTest, StatsFrameReportsCountersAndPlane) {
   ASSERT_TRUE(again.ok());
   std::string text2(again.data.begin(), again.data.end());
   EXPECT_NE(text2.find("requests 1"), std::string::npos) << text2;
-
-  // The thread plane answers too, with its own identity line.
-  ServerConfig tc;
-  tc.listen = "tcp:127.0.0.1:0";
-  LeptonServer th(tc, &ctx);
-  ASSERT_TRUE(th.start());
-  auto tcli = LeptonClient::connect(th.bound_address());
-  ASSERT_TRUE(tcli.ok());
-  auto tr = tcli.stats();
-  ASSERT_TRUE(tr.ok()) << tr.message;
-  std::string ttext(tr.data.begin(), tr.data.end());
-  EXPECT_NE(ttext.find("plane thread"), std::string::npos) << ttext;
-
   srv.stop();
-  th.stop();
 }
 
-// S1: the accept loop must survive fd exhaustion on both planes.
-void exercise_emfile_recovery(const std::string& endpoint,
-                              std::function<lepton::server::ServerStats()>
-                                  stats) {
+TEST(LeptondTest, EventPlaneAcceptSurvivesFdExhaustion) {
+  lepton::CodecContext ctx(2);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+  const std::string endpoint = srv.bound_address();
+
   // Pre-open client sockets while fds are still available; the connects
   // complete in the kernel (listen backlog) without server accepts.
   std::vector<int> clients;
@@ -753,7 +732,7 @@ void exercise_emfile_recovery(const std::string& endpoint,
     if (fd >= 0) clients.push_back(fd);  // our own socket() may EMFILE too
   }
   bool saw_retry =
-      eventually([&] { return stats().accept_retries >= 1; }, 5);
+      eventually([&] { return srv.stats().accept_retries >= 1; }, 5);
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old), 0);
   EXPECT_TRUE(saw_retry) << "accept loop must count EMFILE retries";
   for (int fd : clients) ::close(fd);
@@ -766,30 +745,16 @@ void exercise_emfile_recovery(const std::string& endpoint,
       },
       5))
       << "accept loop must recover after fd pressure lifts";
-}
-
-TEST(LeptondTest, EventPlaneAcceptSurvivesFdExhaustion) {
-  lepton::CodecContext ctx(2);
-  EventServer srv = make_tcp_server(&ctx);
-  ASSERT_TRUE(srv.start()) << srv.last_error();
-  exercise_emfile_recovery(srv.bound_address(), [&] { return srv.stats(); });
   srv.stop();
 }
 
-TEST(LeptondTest, ThreadPlaneAcceptSurvivesFdExhaustion) {
-  lepton::CodecContext ctx(2);
-  ServerConfig cfg;
-  cfg.listen = "tcp:127.0.0.1:0";
-  LeptonServer srv(cfg, &ctx);
-  ASSERT_TRUE(srv.start());
-  exercise_emfile_recovery(srv.bound_address(), [&] { return srv.stats(); });
-  srv.stop();
-}
-
-// ---- transport failures + fleet (S2, tentpole fleet leg) --------------------
+// ---- transport failures + fleet ---------------------------------------------
 
 // A mini-server that accepts, reads a little, then RSTs the connection
-// (SO_LINGER zero + close), so the client's recv sees ECONNRESET.
+// (SO_LINGER zero + close), so the client's recv sees ECONNRESET. The
+// accept thread owns a copy of the listening fd; stop() shuts the listener
+// down (which wakes accept), joins, and only then closes the fd, so the
+// thread never races the write nor touches a reused descriptor.
 struct RstServer {
   int listen_fd = -1;
   std::string endpoint;
@@ -803,9 +768,9 @@ struct RstServer {
     }
     listen_fd = lepton::server::listen_endpoint(ep, &err, &endpoint);
     if (listen_fd < 0) return false;
-    th = std::thread([this] {
+    th = std::thread([lfd = listen_fd] {
       for (;;) {
-        int fd = ::accept(listen_fd, nullptr, nullptr);
+        int fd = ::accept(lfd, nullptr, nullptr);
         if (fd < 0) return;  // listener closed: shut down
         std::uint8_t buf[64];
         (void)::recv(fd, buf, sizeof buf, 0);
@@ -817,12 +782,12 @@ struct RstServer {
     return true;
   }
   void stop() {
+    if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
+    if (th.joinable()) th.join();
     if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
       ::close(listen_fd);
       listen_fd = -1;
     }
-    if (th.joinable()) th.join();
   }
   ~RstServer() { stop(); }
 };
@@ -859,16 +824,15 @@ TEST(LeptondTest, FleetRequeuesConnectionResetToSecondServer) {
   // server, and check the reset classifies + requeues to the good one.
   bool exercised = false;
   for (std::uint64_t seed = 1; seed <= 32 && !exercised; ++seed) {
-    lepton::storage::RequeueConfig rq;
-    rq.endpoints = {rst.endpoint, good.bound_address()};
-    rq.op = lepton::storage::FleetOp::kEncode;
-    rq.first_deadline = std::chrono::milliseconds(0);
-    rq.seed = seed;
-    auto m = lepton::storage::run_fleet_requeue(rq, files);
-    ASSERT_EQ(m.requests, 1u);
-    const auto& tr = m.traces[0];
+    FleetClientConfig cfg =
+        requeue_config({rst.endpoint, good.bound_address()}, FleetOp::kEncode);
+    cfg.first_deadline = std::chrono::milliseconds(0);
+    cfg.seed = seed;
+    FleetClient fc(cfg);
+    auto tr = fc.convert(FleetOp::kEncode, files[0]);
     if (tr.attempts == 1) continue;  // routed to the good server first
     exercised = true;
+    auto m = fc.metrics();
     EXPECT_GE(m.transport_failures, 1u);
     EXPECT_EQ(m.requeues, 1u);
     EXPECT_EQ(tr.final_code, ExitCode::kSuccess)
@@ -894,13 +858,20 @@ TEST(LeptondTest, HealthCheckRoutesAroundDeadAndKillSwitchedDaemons) {
     files.push_back(lepton::corpus::jpeg_of_size(30 << 10, 600 + i));
   }
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {healthy.bound_address(), dying.bound_address(),
-                  "tcp:127.0.0.1:9"};  // discard port: nobody home
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(0);
-  rq.health_check = true;
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
+  // One synchronous probe pass before routing: the dead endpoint's
+  // breaker opens on its failed STATS poll, the kill-switched daemon is
+  // taken out of the encode rotation by its trailer's shutoff flag.
+  FleetClientConfig cfg = requeue_config(
+      {healthy.bound_address(), dying.bound_address(),
+       "tcp:127.0.0.1:9"},  // discard port: nobody home
+      FleetOp::kEncode);
+  cfg.first_deadline = std::chrono::milliseconds(0);
+  FleetClient fc(cfg);
+  EXPECT_EQ(fc.probe_now(), 3);
+  for (const auto& f : files) {
+    EXPECT_EQ(fc.convert(FleetOp::kEncode, f).final_code, ExitCode::kSuccess);
+  }
+  auto m = fc.metrics();
 
   EXPECT_EQ(m.health_probes, 3u);
   EXPECT_EQ(m.unhealthy_endpoints, 2u)
@@ -918,13 +889,13 @@ TEST(LeptondTest, HealthCheckRoutesAroundDeadAndKillSwitchedDaemons) {
   ASSERT_TRUE(cli.ok());
   auto lep = cli.encode({files[0].data(), files[0].size()});
   ASSERT_TRUE(lep.ok());
-  lepton::storage::RequeueConfig dq;
-  dq.endpoints = {dying.bound_address()};
-  dq.op = lepton::storage::FleetOp::kDecode;
-  dq.first_deadline = std::chrono::milliseconds(0);
-  dq.health_check = true;
-  auto dm = lepton::storage::run_fleet_requeue(dq, {lep.data});
-  EXPECT_EQ(dm.succeeded, 1u)
+  FleetClientConfig dcfg =
+      requeue_config({dying.bound_address()}, FleetOp::kDecode);
+  dcfg.first_deadline = std::chrono::milliseconds(0);
+  FleetClient dfc(dcfg);
+  EXPECT_EQ(dfc.probe_now(), 1);
+  EXPECT_EQ(dfc.convert(FleetOp::kDecode, lep.data).final_code,
+            ExitCode::kSuccess)
       << "a kill-switched daemon still serves decode fleets";
 
   healthy.stop();
@@ -946,20 +917,27 @@ TEST(LeptondTest, TcpFleetTimeoutRequeueIsByteIdentical) {
     files.push_back(lepton::corpus::jpeg_of_size(200 << 10, 900 + i));
   }
 
-  lepton::storage::RequeueConfig rq;
-  rq.endpoints = {s1.bound_address(), s2.bound_address()};
-  rq.op = lepton::storage::FleetOp::kEncode;
-  rq.first_deadline = std::chrono::milliseconds(1);  // every first try blows
-  rq.retry_deadline = std::chrono::milliseconds(0);
-  auto m = lepton::storage::run_fleet_requeue(rq, files);
+  FleetClientConfig cfg =
+      requeue_config({s1.bound_address(), s2.bound_address()},
+                     FleetOp::kEncode);
+  cfg.first_deadline = std::chrono::milliseconds(1);  // every first try blows
+  cfg.retry_deadline = std::chrono::milliseconds(0);
+  FleetClient fc(cfg);
+  std::vector<lepton::storage::RequestTrace> traces;
+  for (const auto& f : files) traces.push_back(fc.convert(FleetOp::kEncode, f));
+  auto m = fc.metrics();
 
-  EXPECT_EQ(m.succeeded, files.size());
+  EXPECT_EQ(m.requests, files.size());
+  EXPECT_EQ(m.succeeded, files.size())
+      << "requeued attempts with no deadline must all convert";
   EXPECT_GE(m.requeues, 1u);
   EXPECT_GE(
       m.first_attempt_codes.count(static_cast<unsigned>(ExitCode::kTimeout)),
       1u);
-  for (std::size_t i = 0; i < m.traces.size(); ++i) {
-    const auto& tr = m.traces[i];
+  EXPECT_EQ(m.final_codes.count(static_cast<unsigned>(ExitCode::kSuccess)),
+            files.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    const auto& tr = traces[i];
     if (tr.attempts > 1) {
       EXPECT_NE(tr.first_server, tr.final_server)
           << "§6.6: the requeue goes to a *different* server";

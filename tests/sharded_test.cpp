@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "leptond/event_server.h"
 #include "server/client.h"
-#include "server/server.h"
 #include "storage/decode_cache.h"
 #include "storage/durable_store.h"
 #include "storage/hash_ring.h"
@@ -633,15 +633,15 @@ TEST(ShardedStore, ShutoffDrillClearsCacheAndForcesDeflate) {
 // ---- decode cache: the serving daemon's DECODE path -------------------------
 
 TEST(ShardedServiceCache, ServerCacheServesByteIdenticalHitsAndCountsThem) {
-  lepton::server::ServerConfig cfg;
-  cfg.socket_path = "/tmp/lepton_shardedtest_" + std::to_string(::getpid()) +
-                    ".sock";
-  cfg.decode_cache_bytes = 4 << 20;
-  lepton::server::LeptonServer srv(cfg);
-  ASSERT_TRUE(srv.start());
+  lepton::leptond::EventServerConfig cfg;
+  cfg.listen = "/tmp/lepton_shardedtest_" + std::to_string(::getpid()) +
+               ".sock";
+  cfg.service.decode_cache_bytes = 4 << 20;
+  lepton::leptond::EventServer srv(std::move(cfg));
+  ASSERT_TRUE(srv.start()) << srv.last_error();
 
   auto jpeg = lepton::corpus::jpeg_of_size(40 << 10, 1017);
-  auto cli = lepton::server::LeptonClient::connect(srv.socket_path());
+  auto cli = lepton::server::LeptonClient::connect(srv.bound_address());
   ASSERT_TRUE(cli.ok()) << cli.message();
   auto enc = cli.encode({jpeg.data(), jpeg.size()});
   ASSERT_TRUE(enc.ok()) << enc.message;
