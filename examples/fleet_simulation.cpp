@@ -181,7 +181,7 @@ int act3_tcp_daemon_fleet() {
   if (!d1 || !d2 || !d3) return 1;
   // Daemon 3 is kill-switched: it answers probes (shutoff engaged in the
   // trailer) but would refuse every encode.
-  d3->service().store()->set_shutoff(true);
+  d3->store()->set_shutoff(true);
 
   std::vector<std::vector<std::uint8_t>> files;
   for (int i = 0; i < 4; ++i) {

@@ -76,12 +76,6 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     }
     return true;
   }
-  if (key == "max-in-flight") {
-    if (!parse_int(value, &cfg->max_in_flight) || cfg->max_in_flight < 1) {
-      return bad("bad value");
-    }
-    return true;
-  }
   if (key == "max-body-bytes") {
     return parse_u64(value, &cfg->max_body_bytes) ? true : bad("bad value");
   }
@@ -250,9 +244,9 @@ std::string usage_text() {
       "  --config FILE          key=value config file (flags override it)\n"
       "  --listen ENDPOINT      tcp:host:port | unix:/path (default "
       "tcp:127.0.0.1:2929)\n"
-      "  --workers N            worker pool size (default 4)\n"
+      "  --workers N            worker pool size = concurrent conversion "
+      "bound (default 4)\n"
       "  --codec-threads N      CodecContext pool threads (0 = default)\n"
-      "  --max-in-flight N      admission bound (default 4)\n"
       "  --max-body-bytes N     per-request body cap (default 6 MiB)\n"
       "  --idle-timeout-ms N    idle window / body wall budget (default "
       "30000)\n"

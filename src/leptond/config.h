@@ -13,9 +13,8 @@ namespace lepton::leptond {
 struct DaemonConfig {
   std::string config_file;           // --config (read before other flags)
   std::string listen = "tcp:127.0.0.1:2929";
-  int workers = 4;                   // event plane's fixed worker pool
+  int workers = 4;                   // worker pool: the conversion bound
   int codec_threads = 0;             // CodecContext pool size; 0 = default
-  int max_in_flight = 4;
   std::uint64_t max_body_bytes = 6u << 20;
   std::uint64_t idle_timeout_ms = 30000;
   // Decoded-output LRU budget for DECODE requests, in MiB; 0 disables.

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "lepton/context.h"
 #include "server/sockio.h"
 
 namespace lepton::leptond {
@@ -16,32 +17,22 @@ namespace lepton::leptond {
 using server::FrameHeader;
 using server::FrameType;
 using server::kFrameHeaderSize;
-using server::kMaxControlFrame;
-
-// Per-connection loop state. The open buffer is bounded by the protocol
-// itself: a request-open frame is an 8-byte header plus a <=64-byte
-// control payload, so the loop never buffers request *bodies* — those are
-// read by the worker under the wall budget, through kernel backpressure.
-struct EventServer::EConn {
-  server::ServiceConn svc;
-  std::uint8_t open_buf[kFrameHeaderSize + kMaxControlFrame];
-  std::size_t open_len = 0;
-  std::size_t open_want = kFrameHeaderSize;
-  bool header_done = false;
-  bool dispatched = false;
-  std::chrono::steady_clock::time_point idle_deadline;
-};
 
 EventServer::EventServer(EventServerConfig cfg, CodecContext* ctx)
-    : cfg_(std::move(cfg)), service_(cfg_.service, ctx) {
+    : cfg_(std::move(cfg)),
+      ctx_(ctx != nullptr ? *ctx : default_context()) {
   if (cfg_.workers < 1) cfg_.workers = 1;
-  service_.set_extra_stats([this] {
-    std::string t = "plane event\n";
-    t += "workers " + std::to_string(cfg_.workers) + "\n";
-    t += "open_connections " + std::to_string(open_connections()) + "\n";
-    t += "open_fds " + std::to_string(server::count_open_fds()) + "\n";
-    return t;
-  });
+  if (cfg_.service.store == nullptr) {
+    own_store_ = std::make_unique<TransparentStore>();
+    store_ = own_store_.get();
+  } else {
+    store_ = cfg_.service.store;
+  }
+  if (cfg_.service.decode_cache_bytes > 0) {
+    storage::DecodeCacheConfig cc;
+    cc.budget_bytes = cfg_.service.decode_cache_bytes;
+    decode_cache_ = std::make_unique<storage::DecodeCache>(cc);
+  }
 }
 
 EventServer::~EventServer() { stop(); }
@@ -76,8 +67,8 @@ bool EventServer::start() {
   ev.data.ptr = &wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  service_.reset();
   stopping_.store(false, std::memory_order_release);
+  hard_stop_.store(false, std::memory_order_release);
   workers_done_.store(false, std::memory_order_release);
   accept_paused_ = false;
   accept_backoff_ = std::chrono::milliseconds(10);
@@ -92,7 +83,6 @@ bool EventServer::start() {
 void EventServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stopping_.store(true, std::memory_order_release);
-  service_.begin_drain();
   jobs_cv_.notify_all();
   wake_loop();
   // Workers first: they drain the job queue (draining requests answer
@@ -113,11 +103,11 @@ void EventServer::stop() {
 
 void EventServer::shutdown_now() {
   if (!running_.load(std::memory_order_acquire)) return;
-  service_.cancel_all();
+  hard_stop_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
     for (auto& [fd, c] : conns_) {
-      c->svc.rc.request_cancel();
+      c->rc.request_cancel();
       // Unblock worker-side body reads and loop-side idle waits alike.
       ::shutdown(fd, SHUT_RDWR);
     }
@@ -171,7 +161,7 @@ void EventServer::loop_main() {
         while (::read(wake_fd_, &junk, sizeof junk) > 0) {
         }
       } else {
-        conn_readable(static_cast<EConn*>(p));
+        conn_readable(static_cast<Conn*>(p));
       }
     }
     now = std::chrono::steady_clock::now();
@@ -183,13 +173,13 @@ void EventServer::loop_main() {
   // Teardown: every connection still registered is idle (workers already
   // joined and their hand-backs were processed above); close them all.
   rearm_or_close_ready();
-  std::vector<EConn*> rest;
+  std::vector<Conn*> rest;
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
     rest.reserve(conns_.size());
     for (auto& [fd, c] : conns_) rest.push_back(c.get());
   }
-  for (EConn* c : rest) close_conn(c);
+  for (Conn* c : rest) close_conn(c);
 }
 
 bool EventServer::accept_ready() {
@@ -219,7 +209,7 @@ bool EventServer::accept_ready() {
         // non-empty backlog, staying registered would spin the loop hot —
         // deregister, back off, re-register when the backoff elapses
         // (connections finish, fds free, the backlog keeps the peers).
-        service_.record_accept_retry();
+        bump(&ServerStats::accept_retries);
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
         accept_paused_ = true;
         accept_resume_at_ =
@@ -237,8 +227,8 @@ bool EventServer::accept_ready() {
     }
     server::tune_accepted_socket(fd);
     server::set_send_timeout(fd, cfg_.service.idle_read_timeout);
-    auto c = std::make_unique<EConn>();
-    c->svc.fd = fd;
+    auto c = std::make_unique<Conn>();
+    c->fd = fd;
     c->idle_deadline =
         std::chrono::steady_clock::now() + cfg_.service.idle_read_timeout;
     epoll_event ev{};
@@ -248,15 +238,15 @@ bool EventServer::accept_ready() {
       ::close(fd);
       continue;
     }
-    service_.record_connection();
+    bump(&ServerStats::connections);
     std::lock_guard<std::mutex> lk(conns_mu_);
     conns_.emplace(fd, std::move(c));
   }
 }
 
-void EventServer::conn_readable(EConn* c) {
+void EventServer::conn_readable(Conn* c) {
   if (c->dispatched) return;  // stale event already handed to a worker
-  const int fd = c->svc.fd;
+  const int fd = c->fd;
   for (;;) {
     // Never read past the open frame: bytes after it belong to the request
     // body, which the worker reads under the wall budget.
@@ -271,7 +261,12 @@ void EventServer::conn_readable(EConn* c) {
     if (r == 0) {
       // Clean close between requests is just a goodbye; mid-header is the
       // wire-level short read.
-      if (c->open_len > 0) service_.record_short_read();
+      if (c->open_len > 0) {
+        std::lock_guard<std::mutex> lk(stats_mu_);
+        ++stats_.protocol_errors;
+        stats_.trailer_codes.add(
+            static_cast<unsigned>(util::ExitCode::kShortRead));
+      }
       close_conn(c);
       return;
     }
@@ -287,7 +282,8 @@ void EventServer::conn_readable(EConn* c) {
         // Buffer the control payload too, so the worker starts with the
         // complete open frame in hand. Everything else — PING/STATS (no
         // payload expected), stray stream frames, unparseable headers —
-        // dispatches on the header alone; the service answers and closes.
+        // dispatches on the header alone; the request path answers and
+        // closes.
         c->open_want = kFrameHeaderSize + fh.length;
       }
     }
@@ -298,8 +294,8 @@ void EventServer::conn_readable(EConn* c) {
   }
 }
 
-void EventServer::dispatch(EConn* c) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->svc.fd, nullptr);
+void EventServer::dispatch(Conn* c) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
   c->dispatched = true;
   {
     std::lock_guard<std::mutex> lk(jobs_mu_);
@@ -309,7 +305,7 @@ void EventServer::dispatch(EConn* c) {
 }
 
 void EventServer::rearm_or_close_ready() {
-  std::vector<std::pair<EConn*, bool>> batch;
+  std::vector<std::pair<Conn*, bool>> batch;
   {
     std::lock_guard<std::mutex> lk(done_mu_);
     batch.swap(done_);
@@ -320,7 +316,7 @@ void EventServer::rearm_or_close_ready() {
       close_conn(c);
       continue;
     }
-    server::set_nonblocking(c->svc.fd, true);
+    server::set_nonblocking(c->fd, true);
     c->open_len = 0;
     c->open_want = kFrameHeaderSize;
     c->header_done = false;
@@ -331,7 +327,7 @@ void EventServer::rearm_or_close_ready() {
     ev.data.ptr = c;
     // Level-triggered: if the client already pipelined the next request,
     // the ADD fires immediately — keep-alive costs no extra round trip.
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c->svc.fd, &ev) != 0) {
+    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c->fd, &ev) != 0) {
       close_conn(c);
     }
   }
@@ -339,7 +335,7 @@ void EventServer::rearm_or_close_ready() {
 
 void EventServer::sweep_idle() {
   const auto now = std::chrono::steady_clock::now();
-  std::vector<EConn*> expired;
+  std::vector<Conn*> expired;
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
     for (auto& [fd, c] : conns_) {
@@ -350,11 +346,11 @@ void EventServer::sweep_idle() {
   }
   // An idle (or header-dribbling) timeout is a silent close, not a
   // recorded protocol error.
-  for (EConn* c : expired) close_conn(c);
+  for (Conn* c : expired) close_conn(c);
 }
 
-void EventServer::close_conn(EConn* c) {
-  const int fd = c->svc.fd;
+void EventServer::close_conn(Conn* c) {
+  const int fd = c->fd;
   if (!c->dispatched) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   std::lock_guard<std::mutex> lk(conns_mu_);
   // Close under the registry lock so shutdown_now never shutdown()s a
@@ -367,7 +363,7 @@ void EventServer::close_conn(EConn* c) {
 
 void EventServer::worker_main() {
   for (;;) {
-    EConn* c = nullptr;
+    Conn* c = nullptr;
     {
       std::unique_lock<std::mutex> lk(jobs_mu_);
       jobs_cv_.wait(lk, [&] {
@@ -380,11 +376,10 @@ void EventServer::worker_main() {
       c = jobs_.front();
       jobs_.pop_front();
     }
-    // The service's request path does blocking reads (body, wall-budgeted)
-    // and blocking writes (send timeout armed at accept).
-    server::set_nonblocking(c->svc.fd, false);
-    bool keep = service_.serve_frame(c->svc, c->open_buf,
-                                     c->open_buf + kFrameHeaderSize);
+    // The request path does blocking reads (body, wall-budgeted) and
+    // blocking writes (send timeout armed at accept).
+    server::set_nonblocking(c->fd, false);
+    bool keep = serve_frame(*c);
     {
       std::lock_guard<std::mutex> lk(done_mu_);
       done_.emplace_back(c, keep);

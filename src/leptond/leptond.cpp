@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
   lepton::leptond::EventServerConfig ec;
   ec.listen = cfg.listen;
   ec.workers = cfg.workers;
-  ec.service.max_in_flight = cfg.max_in_flight;
   ec.service.max_body_bytes = cfg.max_body_bytes;
   ec.service.idle_read_timeout = std::chrono::milliseconds(cfg.idle_timeout_ms);
   ec.service.decode_cache_bytes =

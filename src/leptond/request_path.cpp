@@ -1,18 +1,24 @@
-#include "server/service.h"
-
+// EventServer's request path: the frame switch, deadlines, body wall
+// budget, kill-switch, stats and trailer discipline of docs/PROTOCOL.md.
+// Runs on a worker thread with the connection's fd in blocking mode.
 #include <sys/uio.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 
-#include "lepton/context.h"
 #include "lepton/session.h"
+#include "leptond/event_server.h"
 #include "server/sockio.h"
 #include "util/md5.h"
 
-namespace lepton::server {
+namespace lepton::leptond {
 namespace {
 
+using server::FrameHeader;
+using server::FrameType;
+using server::kFrameHeaderSize;
+using server::ReadStatus;
+using server::send_trailer;
 using util::ExitCode;
 
 // Streams session output as DATA frames. A send failure marks the sink
@@ -27,12 +33,14 @@ class SocketSink : public ByteSink {
     std::size_t off = 0;
     while (off < b.size()) {
       auto n = static_cast<std::uint32_t>(
-          std::min<std::size_t>(b.size() - off, kMaxDataFrame));
+          std::min<std::size_t>(b.size() - off, server::kMaxDataFrame));
       std::uint8_t hdr[kFrameHeaderSize];
-      write_frame_header(hdr, {FrameType::kData, 0, n});
+      server::write_frame_header(hdr, {FrameType::kData, 0, n});
       iovec iov[2] = {{hdr, kFrameHeaderSize},
                       {const_cast<std::uint8_t*>(b.data() + off), n}};
-      if (!writev_all(iov)) {
+      // A failpoint "short" outcome delivers a prefix of this DATA frame
+      // and then breaks the sink: the client sees a response die mid-frame.
+      if (!server::send_all(fd_, iov, 2)) {
         broken_ = true;
         rc_->request_cancel();
         return;
@@ -52,44 +60,6 @@ class SocketSink : public ByteSink {
   std::chrono::steady_clock::time_point first_byte() const { return first_; }
 
  private:
-  bool writev_all(iovec iov[2]) {
-    std::size_t total = iov[0].iov_len + iov[1].iov_len;
-    // Failpoint "sock.write", same semantics as send_all's: a short
-    // outcome delivers a prefix of this DATA frame and then breaks the
-    // sink — the client sees a response die mid-frame.
-    bool fail_after = false;
-    if (util::failpoint::armed()) {
-      total = failpoint_write(total, &fail_after);
-      if (total == 0 && fail_after) return false;
-    }
-    std::size_t sent = 0;
-    while (sent < total) {
-      iovec cur[2];
-      int cnt = 0;
-      std::size_t skip = sent;
-      for (int i = 0; i < 2; ++i) {
-        if (skip >= iov[i].iov_len) {
-          skip -= iov[i].iov_len;
-          continue;
-        }
-        cur[cnt].iov_base = static_cast<std::uint8_t*>(iov[i].iov_base) + skip;
-        cur[cnt].iov_len = iov[i].iov_len - skip;
-        skip = 0;
-        ++cnt;
-      }
-      msghdr msg{};
-      msg.msg_iov = cur;
-      msg.msg_iovlen = static_cast<std::size_t>(cnt);
-      ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-      if (w < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<std::size_t>(w);
-    }
-    return !fail_after;
-  }
-
   int fd_;
   RunControl* rc_;
   bool broken_ = false;
@@ -142,88 +112,46 @@ void append_kv_ms(std::string& s, const char* key, double seconds) {
 
 }  // namespace
 
-RequestService::RequestService(ServiceConfig cfg, CodecContext* ctx)
-    : cfg_(std::move(cfg)), ctx_(ctx != nullptr ? *ctx : default_context()) {
-  if (cfg_.store == nullptr) {
-    own_store_ = std::make_unique<TransparentStore>();
-    store_ = own_store_.get();
-  } else {
-    store_ = cfg_.store;
-  }
-  if (cfg_.decode_cache_bytes > 0) {
-    storage::DecodeCacheConfig cc;
-    cc.budget_bytes = cfg_.decode_cache_bytes;
-    decode_cache_ = std::make_unique<storage::DecodeCache>(cc);
-  }
-}
-
-void RequestService::reset() {
-  draining_.store(false, std::memory_order_release);
-  cancel_all_.store(false, std::memory_order_release);
-}
-
-void RequestService::begin_drain() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    draining_.store(true, std::memory_order_release);
-  }
-  slot_cv_.notify_all();
-}
-
-void RequestService::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  slot_cv_.wait(lk, [&] { return stats_.in_flight == 0; });
-}
-
-void RequestService::cancel_all() {
-  cancel_all_.store(true, std::memory_order_release);
-}
-
-void RequestService::record_connection() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.connections;
-}
-
-void RequestService::record_short_read() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.protocol_errors;
-  stats_.trailer_codes.add(static_cast<unsigned>(ExitCode::kShortRead));
-}
-
-void RequestService::record_accept_retry() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.accept_retries;
-}
-
-ServerStats RequestService::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
+ServerStats EventServer::stats() const {
+  std::lock_guard<std::mutex> lk(stats_mu_);
   return stats_;
 }
 
-bool RequestService::acquire_slot() {
-  std::unique_lock<std::mutex> lk(mu_);
-  slot_cv_.wait(lk, [&] {
-    return draining_.load(std::memory_order_acquire) ||
-           stats_.in_flight < cfg_.max_in_flight;
-  });
-  if (draining_.load(std::memory_order_acquire)) return false;
+void EventServer::bump(std::uint64_t ServerStats::*counter) {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  ++(stats_.*counter);
+}
+
+bool EventServer::refuse(int fd, ExitCode code,
+                         std::uint64_t ServerStats::*counter) {
+  {
+    // Never send while holding stats_mu_: a client whose buffer is full
+    // would stall every other connection's stats/trailer path.
+    std::lock_guard<std::mutex> lk(stats_mu_);
+    if (counter != nullptr) ++(stats_.*counter);
+    stats_.trailer_codes.add(static_cast<unsigned>(code));
+  }
+  (void)send_trailer(fd, code, store_->shutoff_active(), 0, 0);
+  return false;
+}
+
+// The worker pool already bounds how many requests run at once; admission
+// only refuses during the drain and keeps the in-flight gauges.
+bool EventServer::admit() {
+  if (stopping_.load(std::memory_order_acquire)) return false;
+  std::lock_guard<std::mutex> lk(stats_mu_);
   ++stats_.requests;
   ++stats_.in_flight;
-  if (stats_.in_flight > stats_.in_flight_peak) {
-    stats_.in_flight_peak = stats_.in_flight;
-  }
+  stats_.in_flight_peak = std::max(stats_.in_flight_peak, stats_.in_flight);
   return true;
 }
 
-void RequestService::release_slot() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    --stats_.in_flight;
-  }
-  slot_cv_.notify_all();
+void EventServer::release() {
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  --stats_.in_flight;
 }
 
-std::string RequestService::stats_text() {
+std::string EventServer::stats_text() {
   ServerStats s = stats();
   std::string t;
   t.reserve(512);
@@ -251,8 +179,7 @@ std::string RequestService::stats_text() {
     t += "trailer_code_";
     t += std::to_string(code);
     t += ' ';
-    t += std::string(
-        util::exit_code_name(static_cast<util::ExitCode>(code)));
+    t += std::string(util::exit_code_name(static_cast<ExitCode>(code)));
     t += ' ';
     t += std::to_string(n);
     t += '\n';
@@ -267,121 +194,88 @@ std::string RequestService::stats_text() {
   // Additive keys: decoded-output cache counters, present only when the
   // cache is configured (--decode-cache-mb / decode_cache_bytes).
   if (decode_cache_ != nullptr) t += decode_cache_->stats_text();
-  if (cfg_.extra_stats) t += cfg_.extra_stats();
+  t += "plane event\n";
+  append_kv(t, "workers", static_cast<std::uint64_t>(cfg_.workers));
+  append_kv(t, "open_connections", open_connections());
+  append_kv(t, "open_fds",
+            static_cast<std::uint64_t>(server::count_open_fds()));
   return t;
 }
 
-bool RequestService::serve_stats(int fd) {
+bool EventServer::serve_stats(int fd) {
   std::string text = stats_text();
   std::uint8_t hdr[kFrameHeaderSize];
-  write_frame_header(
+  server::write_frame_header(
       hdr, {FrameType::kData, 0, static_cast<std::uint32_t>(text.size())});
-  // Like PING, a STATS round trip is not a conversion: it does not hold an
-  // admission slot and its trailer is not tallied into trailer_codes.
-  return send_all(fd, hdr, sizeof hdr) &&
-         send_all(fd, text.data(), text.size()) &&
+  iovec iov[2] = {{hdr, kFrameHeaderSize}, {text.data(), text.size()}};
+  // Like PING, a STATS round trip is not a conversion: it is not counted
+  // in in_flight and its trailer is not tallied into trailer_codes.
+  return server::send_all(fd, iov, 2) &&
          send_trailer(fd, ExitCode::kSuccess, store_->shutoff_active(), 0,
                       text.size());
 }
 
-bool RequestService::serve_frame(ServiceConn& c,
-                                 const std::uint8_t hdr[kFrameHeaderSize],
-                                 const std::uint8_t* payload) {
+bool EventServer::serve_frame(Conn& c) {
   FrameHeader fh;
-  if (!parse_frame_header(hdr, &fh)) {
+  if (!server::parse_frame_header(c.open_buf, &fh)) {
     // Oversized declared length or a frame no version-1 client sends.
     // Rejected before any allocation; answer and hang up.
-    bool oversized = static_cast<FrameType>(hdr[0]) == FrameType::kData;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (oversized) {
-        ++stats_.oversized_rejects;
-      } else {
-        ++stats_.protocol_errors;
-      }
-      stats_.trailer_codes.add(static_cast<unsigned>(ExitCode::kImpossible));
-    }
-    (void)send_trailer(c.fd, ExitCode::kImpossible, store_->shutoff_active(),
-                       0, 0);
-    return false;
+    bool oversized = static_cast<FrameType>(c.open_buf[0]) == FrameType::kData;
+    return refuse(c.fd, ExitCode::kImpossible,
+                  oversized ? &ServerStats::oversized_rejects
+                            : &ServerStats::protocol_errors);
   }
 
-  // `payload`: the connection plane buffered the control payload with the
-  // header (parse_frame_header bounds it at kMaxControlFrame).
+  // The loop buffered the control payload with the header
+  // (parse_frame_header bounds it at kMaxControlFrame).
+  const std::uint8_t* payload = c.open_buf + kFrameHeaderSize;
   switch (fh.type) {
-    case FrameType::kPing: {
-      return fh.length == 0 &&
-             send_trailer(c.fd, ExitCode::kSuccess, store_->shutoff_active(),
+    case FrameType::kPing:
+    case FrameType::kStats: {
+      if (fh.length != 0) break;
+      if (fh.type == FrameType::kStats) return serve_stats(c.fd);
+      return send_trailer(c.fd, ExitCode::kSuccess, store_->shutoff_active(),
                           0, 0);
     }
-    case FrameType::kStats: {
-      return fh.length == 0 && serve_stats(c.fd);
-    }
     case FrameType::kShutoff: {
-      if (fh.length != 1) return false;
-      auto op = static_cast<ShutoffOp>(payload[0]);
-      if (op == ShutoffOp::kEngage) store_->set_shutoff(true);
-      if (op == ShutoffOp::kClear) store_->set_shutoff(false);
+      if (fh.length != 1) break;
+      auto op = static_cast<server::ShutoffOp>(payload[0]);
+      if (op == server::ShutoffOp::kEngage) {
+        store_->set_shutoff(true);
+      } else if (op == server::ShutoffOp::kClear) {
+        store_->set_shutoff(false);
+      } else if (op != server::ShutoffOp::kQuery) {
+        break;
+      }
       // Every SHUTOFF answer re-stats the shutoff file (bypassing the
       // 250 ms TTL cache): the operator asked *now*, not a TTL ago.
       bool state = store_->recheck_shutoff();
       return send_trailer(c.fd, ExitCode::kSuccess, state, 0, 0);
     }
     case FrameType::kEncode:
-    case FrameType::kDecode: {
-      return serve_request(c, hdr[0], payload, fh.length);
-    }
-    default: {
-      // DATA/END/TRAILER outside a request: protocol violation.
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.protocol_errors;
-        stats_.trailer_codes.add(
-            static_cast<unsigned>(ExitCode::kImpossible));
-      }
-      (void)send_trailer(c.fd, ExitCode::kImpossible,
-                         store_->shutoff_active(), 0, 0);
-      return false;
-    }
+    case FrameType::kDecode:
+      return serve_request(c, fh.type == FrameType::kEncode, fh.length);
+    default:
+      // DATA/END/TRAILER outside a request.
+      break;
   }
+  // A malformed control frame or a stray stream frame: protocol violation.
+  return refuse(c.fd, ExitCode::kImpossible, &ServerStats::protocol_errors);
 }
 
-bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
-                                   const std::uint8_t* open_payload,
-                                   std::uint32_t open_len) {
-  const bool is_encode =
-      static_cast<FrameType>(open_type) == FrameType::kEncode;
-  OpenPayload open;
-  if (!parse_open_payload(open_payload, open_len, &open) ||
-      open.version != kProtocolVersion) {
-    {
-      // Never send while holding mu_: a client whose buffer is full would
-      // stall every other connection's stats/trailer path.
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.protocol_errors;
-      stats_.trailer_codes.add(static_cast<unsigned>(ExitCode::kImpossible));
-    }
-    (void)send_trailer(c.fd, ExitCode::kImpossible, store_->shutoff_active(),
-                       0, 0);
-    return false;
+bool EventServer::serve_request(Conn& c, bool is_encode,
+                                std::uint32_t open_len) {
+  server::OpenPayload open;
+  if (!server::parse_open_payload(c.open_buf + kFrameHeaderSize, open_len,
+                                  &open) ||
+      open.version != server::kProtocolVersion) {
+    return refuse(c.fd, ExitCode::kImpossible, &ServerStats::protocol_errors);
   }
-
-  // Admission: block (not reject) until a slot frees — the unread socket is
-  // the backpressure signal to this client, §5.5-style.
-  if (!acquire_slot()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stats_.trailer_codes.add(
-          static_cast<unsigned>(ExitCode::kServerShutdown));
-    }
-    (void)send_trailer(c.fd, ExitCode::kServerShutdown,
-                       store_->shutoff_active(), 0, 0);
-    return false;
-  }
-  struct SlotGuard {
-    RequestService* s;
-    ~SlotGuard() { s->release_slot(); }
-  } slot_guard{this};
+  if (!admit()) return refuse(c.fd, ExitCode::kServerShutdown);
+  struct Release {
+    EventServer* s;
+    ~Release() { s->release(); }
+  } release_guard{this};
 
   const auto start = std::chrono::steady_clock::now();
   c.rc.reset();
@@ -390,42 +284,29 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   if (has_deadline) c.rc.set_deadline(deadline);
 
   // Failpoint "service.encode"/"service.decode": `delay` burns wall budget
-  // inside the admission slot (a slow conversion, without needing one);
-  // any failing action is an internal server failure — error trailer,
-  // close, exactly the §6.6 signal that sends the caller to another box.
+  // on the worker (a slow conversion, without needing one); any failing
+  // action is an internal server failure — error trailer, close, exactly
+  // the §6.6 signal that sends the caller to another box.
   if (util::failpoint::armed()) {
     util::failpoint::Outcome o = util::failpoint::hit(
         is_encode ? "service.encode" : "service.decode");
     if (o.action == util::failpoint::Action::kDelay) {
       std::this_thread::sleep_for(o.delay);
     } else if (o.fired()) {
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        stats_.trailer_codes.add(
-            static_cast<unsigned>(ExitCode::kImpossible));
-      }
-      (void)send_trailer(c.fd, ExitCode::kImpossible,
-                         store_->shutoff_active(), 0, 0);
-      return false;
+      return refuse(c.fd, ExitCode::kImpossible);
     }
   }
 
   // §5.7 kill-switch: compression stops, decompression never does.
   if (is_encode && store_->shutoff_active()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.shutoff_refusals;
-      stats_.trailer_codes.add(
-          static_cast<unsigned>(ExitCode::kServerShutdown));
-    }
-    (void)send_trailer(c.fd, ExitCode::kServerShutdown, true, 0, 0);
-    return false;
+    return refuse(c.fd, ExitCode::kServerShutdown,
+                  &ServerStats::shutoff_refusals);
   }
 
   SocketSink sink(c.fd, &c.rc);
-  EncodeOptions eopts = cfg_.encode_opts;
+  EncodeOptions eopts = cfg_.service.encode_opts;
   eopts.run = &c.rc;
-  DecodeOptions dopts = cfg_.decode_opts;
+  DecodeOptions dopts;
   dopts.run = &c.rc;
   // Cached-decode mode: the body is buffered and md5'd before any decode
   // work, so a hit can skip the session entirely (ServiceConfig rationale).
@@ -444,15 +325,15 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   // deadline when one was given, and the idle window either way (a body
   // that cannot arrive within the idle window is indistinguishable from a
   // stalled one — and per-read inactivity alone is gameable by dribbling).
-  auto body_deadline = start + cfg_.idle_read_timeout;
+  auto body_deadline = start + cfg_.service.idle_read_timeout;
   if (has_deadline && deadline < body_deadline) body_deadline = deadline;
   std::uint64_t body_bytes = 0;
   ExitCode code = ExitCode::kSuccess;
   bool disconnected = false;
   for (;;) {
     std::uint8_t hdr_buf[kFrameHeaderSize];
-    ReadStatus rs =
-        read_exact_deadline(c.fd, hdr_buf, kFrameHeaderSize, body_deadline);
+    ReadStatus rs = server::read_exact_deadline(
+        c.fd, hdr_buf, kFrameHeaderSize, body_deadline);
     if (rs == ReadStatus::kTimedOut) {
       // Deadline passed or the body stalled/dribbled past the idle window.
       code = ExitCode::kTimeout;
@@ -463,19 +344,15 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
       break;
     }
     FrameHeader fh;
-    if (!parse_frame_header(hdr_buf, &fh)) {
+    if (!server::parse_frame_header(hdr_buf, &fh)) {
       bool oversized = static_cast<FrameType>(hdr_buf[0]) == FrameType::kData;
       // The §6.2 memory-budget refusal: the declaration alone exceeds what
       // this request may allocate, so no buffer is ever sized for it.
       code = oversized ? (is_encode ? ExitCode::kMemLimitEncode
                                     : ExitCode::kMemLimitDecode)
                        : ExitCode::kImpossible;
-      std::lock_guard<std::mutex> lk(mu_);
-      if (oversized) {
-        ++stats_.oversized_rejects;
-      } else {
-        ++stats_.protocol_errors;
-      }
+      bump(oversized ? &ServerStats::oversized_rejects
+                     : &ServerStats::protocol_errors);
       break;
     }
     if (fh.type == FrameType::kEnd) {
@@ -484,21 +361,20 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
     }
     if (fh.type != FrameType::kData) {
       code = ExitCode::kImpossible;
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.protocol_errors;
+      bump(&ServerStats::protocol_errors);
       break;
     }
-    if (body_bytes + fh.length > cfg_.max_body_bytes) {
+    if (body_bytes + fh.length > cfg_.service.max_body_bytes) {
       code = is_encode ? ExitCode::kMemLimitEncode : ExitCode::kMemLimitDecode;
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.oversized_rejects;
+      bump(&ServerStats::oversized_rejects);
       break;
     }
     std::vector<std::uint8_t>& buf = c.body[c.body_ix];
     c.body_ix ^= 1;
     buf.resize(fh.length);
     if (fh.length > 0) {
-      rs = read_exact_deadline(c.fd, buf.data(), fh.length, body_deadline);
+      rs = server::read_exact_deadline(c.fd, buf.data(), fh.length,
+                                       body_deadline);
       if (rs == ReadStatus::kTimedOut) {
         code = ExitCode::kTimeout;
         break;
@@ -525,7 +401,7 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
     // for a dead peer, record it, and close. No trailer — there is no one
     // left to read it.
     c.rc.request_cancel();
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.disconnects;
     stats_.trailer_codes.add(static_cast<unsigned>(ExitCode::kShortRead));
     return false;
@@ -562,13 +438,13 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
     (void)dec.finish();
   }
   if (sink.broken()) {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.disconnects;
     stats_.trailer_codes.add(static_cast<unsigned>(ExitCode::kShortRead));
     return false;
   }
   if (code == ExitCode::kTimeout &&
-      cancel_all_.load(std::memory_order_acquire)) {
+      hard_stop_.load(std::memory_order_acquire)) {
     code = ExitCode::kServerShutdown;  // server-initiated, not the budget
   }
 
@@ -576,7 +452,7 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   // included) must never observe stats() that predate its own request.
   auto now = std::chrono::steady_clock::now();
   {
-    std::lock_guard<std::mutex> lk(mu_);
+    std::lock_guard<std::mutex> lk(stats_mu_);
     stats_.bytes_in += body_bytes;
     stats_.bytes_out += sink.bytes();
     stats_.trailer_codes.add(static_cast<unsigned>(code));
@@ -588,13 +464,10 @@ bool RequestService::serve_request(ServiceConn& c, std::uint8_t open_type,
   }
   bool sent = send_trailer(c.fd, code, store_->shutoff_active(), body_bytes,
                            sink.bytes());
-  if (!sent) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.disconnects;
-  }
+  if (!sent) bump(&ServerStats::disconnects);
   // Keep the connection only after a clean success; every error trailer is
   // followed by a close so a confused client cannot desynchronize framing.
   return sent && code == ExitCode::kSuccess;
 }
 
-}  // namespace lepton::server
+}  // namespace lepton::leptond

@@ -1,18 +1,20 @@
 // Blocking-socket I/O helpers shared by the serving stack (internal).
 //
-// The connection plane and the request service read frames with the same
-// discipline: exact-length reads, EINTR retried, a clean pre-first-byte
-// close distinguished from a mid-frame truncation, and — for request
-// bodies — an *absolute* wall budget re-armed onto SO_RCVTIMEO before
-// every recv, because per-read inactivity timeouts alone are gameable by
-// dribbling one byte per interval (the slow-loris hole PR 5 closed).
+// leptond's worker threads read request bodies with one discipline:
+// exact-length reads, EINTR retried, a clean pre-first-byte close
+// distinguished from a mid-frame truncation, and an *absolute* wall budget
+// re-armed onto SO_RCVTIMEO before every recv, because per-read inactivity
+// timeouts alone are gameable by dribbling one byte per interval (slow
+// loris). Every response byte leaves through the one send_all loop.
 #pragma once
 
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -24,10 +26,10 @@
 
 namespace lepton::server {
 
-// Failpoint "sock.write": evaluated per send_all/writev_all call when a
-// schedule is armed. `err` fails the write outright; `short` delivers a
-// PRNG-sized prefix first — the peer sees a frame die partway, the §6.2
-// short write; `delay` stalls the writer, then proceeds.
+// Failpoint "sock.write": evaluated once per send_all call when a schedule
+// is armed. `err` fails the write outright; `short` delivers a PRNG-sized
+// prefix first — the peer sees a frame die partway, the §6.2 short write;
+// `delay` stalls the writer, then proceeds.
 //
 // Returns the number of bytes the caller may still send (n = proceed
 // normally), with *fail_now set when the write must then report failure.
@@ -53,22 +55,52 @@ inline std::size_t failpoint_write(std::size_t n, bool* fail_now) {
   return n;
 }
 
-inline bool send_all(int fd, const void* data, std::size_t n) {
+// Sends every byte of iov[0..cnt) with gathered sendmsg calls, so a frame
+// header and its payload leave in one syscall whenever the socket buffer
+// has room. The array is consumed in place (bases advanced, lengths
+// shrunk).
+inline bool send_all(int fd, iovec* iov, std::size_t cnt) {
   bool fail_after = false;
   if (util::failpoint::armed()) {
-    n = failpoint_write(n, &fail_after);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < cnt; ++i) total += iov[i].iov_len;
+    std::size_t allow = failpoint_write(total, &fail_after);
+    for (std::size_t i = 0; i < cnt; ++i) {
+      iov[i].iov_len = std::min(iov[i].iov_len, allow);
+      allow -= iov[i].iov_len;
+    }
   }
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (n > 0) {
-    ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
+  while (cnt > 0) {
+    if (iov->iov_len == 0) {
+      ++iov;
+      --cnt;
+      continue;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = cnt;
+    ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
     }
-    p += w;
-    n -= static_cast<std::size_t>(w);
+    for (auto left = static_cast<std::size_t>(w); left > 0;) {
+      std::size_t take = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + take;
+      iov->iov_len -= take;
+      left -= take;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --cnt;
+      }
+    }
   }
   return !fail_after;
+}
+
+inline bool send_all(int fd, const void* data, std::size_t n) {
+  iovec iov{const_cast<void*>(data), n};
+  return send_all(fd, &iov, 1);
 }
 
 inline timeval to_timeval(std::chrono::milliseconds ms) {
@@ -86,7 +118,7 @@ inline void set_recv_timeout(int fd, std::chrono::milliseconds ms) {
 // Response writes must not block forever on a client that stops reading:
 // with a send timeout, a stalled ::sendmsg fails with EAGAIN, the sink
 // marks itself broken, and the request unwinds through the disconnect
-// path — releasing its admission slot instead of wedging stop()/drain.
+// path — releasing its worker instead of wedging stop()/drain.
 // The slow consumer pays with its connection.
 inline void set_send_timeout(int fd, std::chrono::milliseconds ms) {
   timeval tv = to_timeval(ms);
@@ -125,33 +157,13 @@ inline bool failpoint_read(ReadStatus* rs) {
   return true;
 }
 
-// Reads exactly `n` bytes. kEof only when the peer closed cleanly before
-// the first byte; a close partway through is kTruncated (the §6.2 short
-// read, at the frame layer).
-inline ReadStatus read_exact(int fd, std::uint8_t* out, std::size_t n) {
-  if (util::failpoint::armed()) {
-    ReadStatus rs;
-    if (!failpoint_read(&rs)) return rs;
-  }
-  std::size_t got = 0;
-  while (got < n) {
-    ssize_t r = ::recv(fd, out + got, n - got, 0);
-    if (r == 0) return got == 0 ? ReadStatus::kEof : ReadStatus::kTruncated;
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return ReadStatus::kTimedOut;
-      return ReadStatus::kError;
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return ReadStatus::kOk;
-}
-
-// Deadline-bounded read_exact: re-arms SO_RCVTIMEO with the *remaining*
-// wall budget before every recv. Plain SO_RCVTIMEO alone bounds only
-// inactivity — a hostile client dribbling one byte per interval restarts
-// the idle window forever while holding an admission slot (slow loris);
-// the absolute deadline is what actually bounds the body phase.
+// Reads exactly `n` bytes before `deadline`. kEof only when the peer
+// closed cleanly before the first byte; a close partway through is
+// kTruncated (the §6.2 short read, at the frame layer). Re-arms
+// SO_RCVTIMEO with the *remaining* wall budget before every recv: plain
+// SO_RCVTIMEO alone bounds only inactivity — a hostile client dribbling
+// one byte per interval restarts the idle window forever while holding a
+// worker (slow loris); the absolute deadline is what bounds the body.
 inline ReadStatus read_exact_deadline(
     int fd, std::uint8_t* out, std::size_t n,
     std::chrono::steady_clock::time_point deadline) {

@@ -92,24 +92,27 @@ DecodeCacheStats DecodeCache::stats() const {
   return stats_;
 }
 
-std::string DecodeCache::stats_text(std::string_view prefix) const {
+std::string DecodeCache::stats_text() const {
   DecodeCacheStats s = stats();
-  std::string p(prefix);
   char buf[640];
   std::snprintf(buf, sizeof(buf),
-                "%shits %llu\n%smisses %llu\n%sevictions %llu\n"
-                "%sinvalidations %llu\n%sinsertions %llu\n"
-                "%srejected_oversize %llu\n%sbytes %llu\n%sentries %llu\n"
-                "%sbudget_bytes %llu\n%shit_bytes_served %llu\n",
-                p.c_str(), static_cast<unsigned long long>(s.hits), p.c_str(),
-                static_cast<unsigned long long>(s.misses), p.c_str(),
-                static_cast<unsigned long long>(s.evictions), p.c_str(),
-                static_cast<unsigned long long>(s.invalidations), p.c_str(),
-                static_cast<unsigned long long>(s.insertions), p.c_str(),
-                static_cast<unsigned long long>(s.rejected_oversize), p.c_str(),
-                static_cast<unsigned long long>(s.bytes), p.c_str(),
-                static_cast<unsigned long long>(s.entries), p.c_str(),
-                static_cast<unsigned long long>(s.budget_bytes), p.c_str(),
+                "decode_cache_hits %llu\ndecode_cache_misses %llu\n"
+                "decode_cache_evictions %llu\n"
+                "decode_cache_invalidations %llu\n"
+                "decode_cache_insertions %llu\n"
+                "decode_cache_rejected_oversize %llu\n"
+                "decode_cache_bytes %llu\ndecode_cache_entries %llu\n"
+                "decode_cache_budget_bytes %llu\n"
+                "decode_cache_hit_bytes_served %llu\n",
+                static_cast<unsigned long long>(s.hits),
+                static_cast<unsigned long long>(s.misses),
+                static_cast<unsigned long long>(s.evictions),
+                static_cast<unsigned long long>(s.invalidations),
+                static_cast<unsigned long long>(s.insertions),
+                static_cast<unsigned long long>(s.rejected_oversize),
+                static_cast<unsigned long long>(s.bytes),
+                static_cast<unsigned long long>(s.entries),
+                static_cast<unsigned long long>(s.budget_bytes),
                 static_cast<unsigned long long>(s.hit_bytes_served));
   return buf;
 }

@@ -76,10 +76,9 @@ class DecodeCache {
   std::uint64_t invalidate_all();
 
   DecodeCacheStats stats() const;
-  // STATS-style "key value\n" rows, each prefixed (default "decode_cache_")
-  // — the serving daemon splices these into its STATS body so leptonctl
-  // surfaces them verbatim.
-  std::string stats_text(std::string_view prefix = "decode_cache_") const;
+  // STATS-style "decode_cache_<key> value\n" rows — the serving daemon
+  // splices these into its STATS body so leptonctl surfaces them verbatim.
+  std::string stats_text() const;
 
   std::size_t budget_bytes() const { return cfg_.budget_bytes; }
   std::size_t max_entry_bytes() const { return cfg_.max_entry_bytes; }

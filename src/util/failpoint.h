@@ -37,9 +37,9 @@
 // global seed and the site name (util/rng.h), so the same spec + seed
 // yields the same fire sequence on every run — chaos runs replay.
 //
-// Wired sites (grep for the names): sock.read / sock.write (sockio.h and
-// the service's response sink), fleet.connect (endpoint.cpp), accept (the
-// connection plane), service.encode / service.decode (the request path),
+// Wired sites (grep for the names): sock.read / sock.write (sockio.h),
+// fleet.connect (endpoint.cpp), accept (leptond's event loop),
+// service.encode / service.decode (leptond's request path),
 // codec.mem_gate (the §6.2 decode/encode memory budgets), and the durable
 // store's commit path via util/fileio.h — fs.open / fs.write / fs.fsync /
 // fs.rename / fs.unlink (fs.write=short really leaves a torn prefix on

@@ -4,7 +4,7 @@
 
 namespace lepton::util {
 
-std::string format_percentiles(const Percentiles& p) {
+std::string format_percentiles(const ReservoirPercentiles& p) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "p50=%.3f p75=%.3f p95=%.3f p99=%.3f",
                 p.percentile(50), p.percentile(75), p.percentile(95),

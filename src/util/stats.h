@@ -114,6 +114,7 @@ class ReservoirPercentiles {
   // Total samples observed (not the reservoir size).
   std::uint64_t count() const { return seen_; }
   std::size_t reservoir_size() const { return samples_.size(); }
+  std::size_t capacity() const { return cap_; }
 
  private:
   std::uint64_t next_random() {
@@ -193,7 +194,7 @@ class CodeTally {
 };
 
 // Formats "p50/p75/p95/p99" rows the way the paper's figures label them.
-std::string format_percentiles(const Percentiles& p);
+std::string format_percentiles(const ReservoirPercentiles& p);
 
 // Formats a CodeTally's nonzero rows as "Name=count" pairs using `name`
 // (pass util::exit_code_name via a lambda for §6.2 codes).

@@ -205,14 +205,18 @@ TEST_F(FaultTest, SockReadErrAndShortClassify) {
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   std::uint8_t b = 7;
   ASSERT_EQ(::send(sv[0], &b, 1, 0), 1);
+  // A far deadline: only the failpoint may cut these reads short.
+  auto far = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   ASSERT_TRUE(fp::arm("sock.read=err:ETIMEDOUT@once"));
   std::uint8_t out;
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1), ReadStatus::kError);
+  EXPECT_EQ(lepton::server::read_exact_deadline(sv[1], &out, 1, far),
+            ReadStatus::kError);
   // Spent: the byte is still in the socket and now reads normally.
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1), ReadStatus::kOk);
+  EXPECT_EQ(lepton::server::read_exact_deadline(sv[1], &out, 1, far),
+            ReadStatus::kOk);
   EXPECT_EQ(out, 7);
   ASSERT_TRUE(fp::arm("sock.read=short"));
-  EXPECT_EQ(lepton::server::read_exact(sv[1], &out, 1),
+  EXPECT_EQ(lepton::server::read_exact_deadline(sv[1], &out, 1, far),
             ReadStatus::kTruncated);
   ::close(sv[0]);
   ::close(sv[1]);
@@ -312,6 +316,28 @@ TEST_F(FaultTest, HalfOpenAdmitsOneProbeAndReopensOnFailure) {
   // Immediately after the failed probe the cooldown is fresh: fast-fail.
   auto fast = fc.convert(FleetOp::kEncode, body);
   EXPECT_EQ(fast.attempts, 0);
+}
+
+TEST_F(FaultTest, LatencyMetricsStayBoundedOverALongLivedClient) {
+  // A ShardedStore keeps one FleetClient per shard for the life of the
+  // process: its latency metrics must count every request but hold (and
+  // copy out of metrics()) only a bounded reservoir.
+  FleetClientConfig cfg = client_cfg("tcp:127.0.0.1:1");  // nothing listens
+  cfg.breaker_threshold = 1;
+  cfg.max_attempts = 1;
+  cfg.breaker_cooldown = std::chrono::hours(1);  // every later call fast-fails
+  FleetClient fc(cfg);
+  std::vector<std::uint8_t> body{1, 2, 3};
+
+  const std::size_t cap = fc.metrics().latency_s.capacity();
+  const std::size_t n = cap + 1000;
+  for (std::size_t i = 0; i < n; ++i) (void)fc.convert(FleetOp::kEncode, body);
+
+  auto m = fc.metrics();
+  EXPECT_EQ(m.requests, n);
+  EXPECT_EQ(m.latency_s.count(), n);
+  EXPECT_LE(m.latency_s.reservoir_size(), cap) << "memory must stay bounded";
+  EXPECT_EQ(m.ttfb_s.count(), 0u) << "no request succeeded";
 }
 
 TEST_F(FaultTest, BackoffSleepsABoundedExponentialSchedule) {

@@ -234,15 +234,23 @@ TEST(DaemonConfig, FlagsAndConfigFileCompose) {
   bool help = false;
   // Flags override the file; --config position does not matter.
   ASSERT_TRUE(ld::parse_args(
-      {"--workers=2", "--config", path, "--max-in-flight", "6"}, &cfg, &err,
-      &help))
+      {"--workers=2", "--config", path, "--max-body-bytes", "4096"}, &cfg,
+      &err, &help))
       << err;
   EXPECT_FALSE(help);
   EXPECT_EQ(cfg.listen, "tcp:0.0.0.0:4000");
   EXPECT_EQ(cfg.workers, 2) << "flag must override the config file";
-  EXPECT_EQ(cfg.max_in_flight, 6);
+  EXPECT_EQ(cfg.max_body_bytes, 4096u);
   EXPECT_EQ(cfg.idle_timeout_ms, 5000u);
   ::unlink(path.c_str());
+
+  // The worker pool is the only conversion bound: the retired admission
+  // knob is an unknown option as a flag and as a config-file key.
+  cfg = {};
+  EXPECT_FALSE(ld::parse_args({"--max-in-flight", "2"}, &cfg, &err, &help));
+  EXPECT_NE(err.find("max-in-flight"), std::string::npos) << err;
+  EXPECT_FALSE(ld::parse_args({"--max-in-flight=2"}, &cfg, &err, &help));
+  EXPECT_FALSE(ld::parse_config_text("max-in-flight 2\n", &cfg, &err));
 
   // The event plane is the only connection plane: the retired --plane
   // switch is an unknown option in either spelling, and in config files.
@@ -491,8 +499,7 @@ TEST(LeptondTest, EventPlaneAdmissionBoundsInFlight) {
   lepton::CodecContext ctx(4);
   EventServerConfig ec;
   ec.listen = "tcp:127.0.0.1:0";
-  ec.workers = 3;  // more workers than slots: admission still the bound
-  ec.service.max_in_flight = 1;
+  ec.workers = 1;  // the worker pool is the one conversion bound
   EventServer srv(std::move(ec), &ctx);
   ASSERT_TRUE(srv.start()) << srv.last_error();
 
@@ -508,9 +515,9 @@ TEST(LeptondTest, EventPlaneAdmissionBoundsInFlight) {
   b.join();
   c.join();
 
-  EXPECT_EQ(ok.load(), 3) << "parked requests must be served, not dropped";
+  EXPECT_EQ(ok.load(), 3) << "queued requests must be served, not dropped";
   auto s = srv.stats();
-  EXPECT_EQ(s.in_flight_peak, 1) << "admission cap violated";
+  EXPECT_EQ(s.in_flight_peak, 1) << "worker-pool bound violated";
   EXPECT_EQ(s.requests, 3u);
   srv.stop();
 }
@@ -639,6 +646,47 @@ TEST(LeptondTest, EventPlaneRejectsGarbageOversizeAndVersionMismatch) {
     return srv.stats().trailer_codes.count(
                static_cast<unsigned>(ExitCode::kShortRead)) >= 1;
   }));
+  srv.stop();
+}
+
+TEST(LeptondTest, MalformedControlFramesAnswerImpossible) {
+  lepton::CodecContext ctx(2);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+
+  // PING/STATS carry no payload; SHUTOFF carries exactly one known op byte.
+  struct Case {
+    FrameType type;
+    std::vector<std::uint8_t> payload;
+  };
+  const std::vector<Case> cases = {
+      {FrameType::kPing, {0, 0, 0, 0}},  {FrameType::kStats, {0, 0}},
+      {FrameType::kShutoff, {}},         {FrameType::kShutoff, {0, 0}},
+      {FrameType::kShutoff, {3}},        {FrameType::kShutoff, {255}},
+  };
+  for (const Case& k : cases) {
+    int fd = raw_tcp_connect(srv.bound_address());
+    ASSERT_GE(fd, 0);
+    std::vector<std::uint8_t> frame(lepton::server::kFrameHeaderSize);
+    lepton::server::write_frame_header(
+        frame.data(),
+        {k.type, 0, static_cast<std::uint32_t>(k.payload.size())});
+    frame.insert(frame.end(), k.payload.begin(), k.payload.end());
+    ASSERT_TRUE(raw_send(fd, frame.data(), frame.size()));
+    auto t = raw_read_trailer(fd);
+    EXPECT_EQ(t.exit_code, static_cast<std::uint8_t>(ExitCode::kImpossible))
+        << "frame type " << static_cast<int>(k.type) << ", "
+        << k.payload.size() << "-byte payload";
+    ::close(fd);
+  }
+
+  // Counters are recorded before each trailer is sent.
+  auto s = srv.stats();
+  EXPECT_EQ(s.protocol_errors, cases.size());
+  EXPECT_EQ(s.trailer_codes.count(static_cast<unsigned>(ExitCode::kImpossible)),
+            cases.size());
+  EXPECT_FALSE(srv.store()->shutoff_active())
+      << "an unknown SHUTOFF op must not act on the kill-switch";
   srv.stop();
 }
 
@@ -851,7 +899,7 @@ TEST(LeptondTest, HealthCheckRoutesAroundDeadAndKillSwitchedDaemons) {
   EventServer dying = make_tcp_server(&ctx);
   ASSERT_TRUE(healthy.start()) << healthy.last_error();
   ASSERT_TRUE(dying.start()) << dying.last_error();
-  dying.service().store()->set_shutoff(true);
+  dying.store()->set_shutoff(true);
 
   std::vector<std::vector<std::uint8_t>> files;
   for (int i = 0; i < 3; ++i) {

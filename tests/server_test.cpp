@@ -391,7 +391,7 @@ TEST(ServeTest, FleetRequeuesAroundKillSwitchedServer) {
 TEST(ServeTest, UnreadableClientIsDisconnectedNotWedged) {
   // A client that sends a whole decode request and then never reads fills
   // its receive buffer; the server's response writes must time out (send
-  // timeout = idle_read_timeout), cancel the session, and free the slot —
+  // timeout = idle_read_timeout), cancel the session, and free the worker —
   // not block a worker forever.
   lepton::CodecContext ctx(2);
   EventServerConfig cfg = unix_config("slowreader");
