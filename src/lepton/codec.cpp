@@ -272,25 +272,6 @@ util::ExitCode decode_segment_range(
                                 : ExitCode::kSuccess;
 }
 
-void decode_container(const ParsedContainer& pc, ByteSink& sink,
-                      const DecodeOptions& opts, CodecContext& ctx,
-                      DecodeStats* stats) {
-  const ContainerHeader& h = pc.header;
-  jpegfmt::JpegFile hdr = validate_container_decode(h);
-
-  // Verbatim prefix (header bytes belonging to this chunk's byte range).
-  sink.append({h.jpeg_header.data() + h.prefix_off, h.prefix_len});
-
-  DecodeRunFlags flags;
-  ExitCode code =
-      decode_segment_range(h, hdr, pc.arith, 0, sink, opts, ctx, &flags);
-  flags.fill(stats);
-  if (code != ExitCode::kSuccess) {
-    throw jpegfmt::ParseError(code, "segment decode failed");
-  }
-  sink.append({h.suffix.data(), h.suffix.size()});
-}
-
 }  // namespace core
 
 // ---- one-shot wrappers ------------------------------------------------------

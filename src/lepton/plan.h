@@ -149,11 +149,4 @@ util::ExitCode decode_segment_range(
     ByteSink& sink, const DecodeOptions& opts, CodecContext& ctx,
     DecodeRunFlags* flags);
 
-// Decodes one parsed container into `sink` (implemented in codec.cpp).
-// Throws jpegfmt::ParseError with a §6.2 classification on failure.
-// `stats` (optional) reports payload-consumption facts.
-void decode_container(const ParsedContainer& pc, ByteSink& sink,
-                      const DecodeOptions& opts, CodecContext& ctx,
-                      DecodeStats* stats = nullptr);
-
 }  // namespace lepton::core

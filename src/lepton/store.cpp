@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "lepton/context.h"
@@ -47,6 +48,28 @@ bool TransparentStore::recheck_shutoff() const {
   return on;
 }
 
+ContainerCheck check_container(
+    std::span<const std::uint8_t> container,
+    std::optional<std::span<const std::uint8_t>> original,
+    const DecodeOptions& opts) {
+  ContainerCheck c;
+  VectorSink sink;
+  c.code = decode_lepton(container, sink, opts, default_context(), &c.stats);
+  c.bytes = std::move(sink.data);
+  if (!c.ok()) return c;
+  if (!c.stats.payload_exhausted) {
+    // Decoded "successfully" but consumed more or fewer bytes than the
+    // stream holds: a truncated or padded payload that happened to produce
+    // the right output length. Suspect even when the bytes compare equal.
+    c.code = util::ExitCode::kShortRead;
+  } else if (original.has_value() &&
+             !std::equal(c.bytes.begin(), c.bytes.end(), original->begin(),
+                         original->end())) {
+    c.code = util::ExitCode::kRoundtripFailed;
+  }
+  return c;
+}
+
 StoredObject TransparentStore::put(std::span<const std::uint8_t> file,
                                    PutStats* stats) const {
   StoredObject obj;
@@ -57,33 +80,13 @@ StoredObject TransparentStore::put(std::span<const std::uint8_t> file,
     Result enc = encode_jpeg(file, opts_);
     local.lepton_code = enc.code;
     if (enc.ok()) {
-      // md5 of the compressed buffer *before* the round-trip test (§5.7):
-      // if memory is corrupted after this point, get() will notice.
-      std::string md5 = util::Md5::hex_digest({enc.data.data(),
-                                               enc.data.size()});
-      VectorSink rt_sink;
-      DecodeStats rt_stats;
-      util::ExitCode rt_code =
-          decode_lepton({enc.data.data(), enc.data.size()}, rt_sink, {},
-                        default_context(), &rt_stats);
-      // A decode that overran or under-consumed its payload is suspect even
-      // when the bytes compare equal — same posture as the qualification
-      // gate (verify.cpp): consumption facts are part of the round trip.
-      local.roundtrip_ok =
-          rt_code == util::ExitCode::kSuccess && rt_stats.payload_exhausted &&
-          rt_sink.data.size() == file.size() &&
-          std::equal(rt_sink.data.begin(), rt_sink.data.end(), file.begin());
-      if (local.roundtrip_ok) {
-        obj.kind = StorageKind::kLepton;
-        obj.payload = std::move(enc.data);
-        obj.md5_hex = std::move(md5);
-        local.bytes_out = obj.payload.size();
+      if (admit_converted(file, std::move(enc.data), &obj, &local)) {
         if (stats != nullptr) *stats = local;
         return obj;
       }
       // A compressor that cannot reproduce its input must not admit the
-      // file (§5.7); reclassify and fall through to Deflate.
-      local.lepton_code = util::ExitCode::kRoundtripFailed;
+      // file (§5.7): admit_converted classified it kRoundtripFailed; fall
+      // through to Deflate.
     }
   } else {
     local.lepton_code = util::ExitCode::kServerShutdown;
@@ -121,25 +124,18 @@ bool TransparentStore::admit_converted(std::span<const std::uint8_t> original,
                                        PutStats* stats) const {
   PutStats local;
   local.bytes_in = original.size();
-  // md5 before the round-trip test, same §5.7 ordering as put(): corruption
-  // between this check and the write is what get() then catches.
+  // md5 of the container *before* the round-trip test (§5.7): if memory is
+  // corrupted after this point, get() will notice.
   std::string md5 = util::Md5::hex_digest({container.data(),
                                            container.size()});
-  VectorSink rt_sink;
-  DecodeStats rt_stats;
-  util::ExitCode rt_code =
-      decode_lepton({container.data(), container.size()}, rt_sink, {},
-                    default_context(), &rt_stats);
-  local.lepton_code = rt_code;
   local.roundtrip_ok =
-      rt_code == util::ExitCode::kSuccess && rt_stats.payload_exhausted &&
-      rt_sink.data.size() == original.size() &&
-      std::equal(rt_sink.data.begin(), rt_sink.data.end(), original.begin());
+      check_container({container.data(), container.size()}, original).ok();
   if (!local.roundtrip_ok) {
     local.lepton_code = util::ExitCode::kRoundtripFailed;
     if (stats != nullptr) *stats = local;
     return false;
   }
+  local.lepton_code = util::ExitCode::kSuccess;
   out->kind = StorageKind::kLepton;
   out->payload = std::move(container);
   out->md5_hex = std::move(md5);
@@ -148,36 +144,25 @@ bool TransparentStore::admit_converted(std::span<const std::uint8_t> original,
   return true;
 }
 
-Result TransparentStore::get(const StoredObject& obj,
-                             DecodeStats* decode_stats) const {
+Result decode_object(const StoredObject& obj, DecodeStats* decode_stats) {
   Result r;
-  if (util::Md5::hex_digest({obj.payload.data(), obj.payload.size()}) !=
-      obj.md5_hex) {
-    r.code = util::ExitCode::kImpossible;
-    r.message = "stored payload md5 mismatch";
-    return r;
-  }
   if (obj.kind == StorageKind::kLepton) {
-    VectorSink sink;
-    DecodeStats stats;
-    r.code = decode_lepton({obj.payload.data(), obj.payload.size()}, sink, {},
-                           default_context(), &stats);
-    if (decode_stats != nullptr) *decode_stats = stats;
-    if (r.code == util::ExitCode::kSuccess && !stats.payload_exhausted) {
-      // The stream decoded "successfully" but consumed more or fewer bytes
-      // than it contains — truncated or padded payload that happened to
-      // produce the right output length. put() admitted an exactly-consumed
-      // stream, so this is corruption; do not hand the bytes out silently.
-      r.code = util::ExitCode::kShortRead;
+    ContainerCheck c =
+        check_container({obj.payload.data(), obj.payload.size()});
+    if (decode_stats != nullptr) *decode_stats = c.stats;
+    r.code = c.code;
+    if (c.ok()) {
+      r.data = std::move(c.bytes);
+    } else if (c.code == util::ExitCode::kShortRead) {
+      // put() admitted an exactly-consumed stream, so this is corruption;
+      // do not hand the bytes out silently.
       r.message = "payload consumption mismatch on stored object";
-      return r;
     }
-    if (r.code == util::ExitCode::kSuccess) r.data = std::move(sink.data);
     return r;
   }
   if (obj.kind == StorageKind::kPassthrough) {
-    // The md5 check above is the whole integrity story: the payload is the
-    // original file.
+    // The caller's md5 check is the whole integrity story: the payload is
+    // the original file.
     r.data = obj.payload;
     return r;
   }
@@ -187,6 +172,18 @@ Result TransparentStore::get(const StoredObject& obj,
     r.message = "corrupt deflate payload";
   }
   return r;
+}
+
+Result TransparentStore::get(const StoredObject& obj,
+                             DecodeStats* decode_stats) const {
+  if (util::Md5::hex_digest({obj.payload.data(), obj.payload.size()}) !=
+      obj.md5_hex) {
+    Result r;
+    r.code = util::ExitCode::kImpossible;
+    r.message = "stored payload md5 mismatch";
+    return r;
+  }
+  return decode_object(obj, decode_stats);
 }
 
 }  // namespace lepton

@@ -7,16 +7,18 @@
 // rejects (or that fails the round trip) is stored with Deflate instead.
 // "We have never been unable to decode a stored file" rests on this gate.
 //
-// Both put() and get() are thin wrappers over the streaming sessions
-// (session.h) via encode_jpeg/decode_lepton, and both consume the decoder's
-// payload-consumption facts: a decode whose arithmetic payload overran (or
-// was left unconsumed) is treated as corrupt even when the byte count came
-// out right.
+// The container half of that rule lives in one function,
+// check_container(): every path that admits or serves a Lepton container
+// (put, admit_converted, get, the durable store's scrubber, the
+// qualification harness) decodes through it, so a decode whose arithmetic
+// payload overran or was left unconsumed is refused everywhere, even when
+// the byte count came out right.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -66,12 +68,41 @@ struct StoredObject {
   std::string md5_hex;  // of payload, taken before the round-trip test
 };
 
+// The §5.7 container check, the one rule every admit and serve path applies
+// to a Lepton container: decode it and accept it only if the decode
+// succeeds with its arithmetic payload exactly consumed (no overrun,
+// nothing left over) and, when `original` is given, reproduces it
+// byte-for-byte.
+struct ContainerCheck {
+  // kSuccess = admissible / serveable. kShortRead = decoded, but the
+  // payload was not exactly consumed. kRoundtripFailed = decoded and
+  // consumed, but not byte-identical to `original`. Anything else is the
+  // decoder's own classification.
+  util::ExitCode code = util::ExitCode::kSuccess;
+  std::vector<std::uint8_t> bytes;  // the decoded output
+  DecodeStats stats;                // the raw consumption facts
+  bool ok() const { return code == util::ExitCode::kSuccess; }
+};
+
+ContainerCheck check_container(
+    std::span<const std::uint8_t> container,
+    std::optional<std::span<const std::uint8_t>> original = std::nullopt,
+    const DecodeOptions& opts = {});
+
 struct PutStats {
   util::ExitCode lepton_code = util::ExitCode::kSuccess;
   bool roundtrip_ok = false;
   std::size_t bytes_in = 0;
   std::size_t bytes_out = 0;
 };
+
+// Decodes a stored object whose payload the caller has already verified
+// against its md5 (TransparentStore::get, and DurableStore's verified
+// read, which must not hash the bytes a second time). Lepton payloads go
+// through check_container; a consumption mismatch classifies kShortRead.
+// `decode_stats` (optional) receives the raw facts for Lepton objects.
+Result decode_object(const StoredObject& obj,
+                     DecodeStats* decode_stats = nullptr);
 
 class TransparentStore {
  public:
@@ -80,8 +111,9 @@ class TransparentStore {
   TransparentStore(const TransparentStore&) = delete;
   TransparentStore& operator=(const TransparentStore&) = delete;
 
-  // Compresses and admits a file. Never fails: the Deflate fallback always
-  // succeeds. `stats` (optional) reports what happened, in §6.2 terms.
+  // Compresses and admits a file: encode, then admit_converted(). Never
+  // fails: the Deflate fallback always succeeds. `stats` (optional) reports
+  // what happened, in §6.2 terms.
   // Thread-safe: concurrent put() calls on one store are supported (the
   // store holds no per-call state beyond the shutoff cache below).
   StoredObject put(std::span<const std::uint8_t> file,
@@ -93,22 +125,21 @@ class TransparentStore {
   StoredObject put_passthrough(std::span<const std::uint8_t> file,
                                PutStats* stats = nullptr) const;
 
-  // Admits a container produced *elsewhere* (a fleet conversion) under the
-  // same §5.7 gate as put(): md5 the container first, then require a local
-  // round-trip decode byte-identical to `original` with the payload exactly
-  // consumed. True = *out is the admitted Lepton object; false = the
-  // container failed the gate (corrupt or mismatched) and nothing was
-  // admitted — the caller falls back, it never stores the container.
+  // The §5.7 admission gate, for put()'s own encodes and for containers
+  // produced *elsewhere* (a fleet conversion): md5 the container first, then
+  // require check_container() against `original`. True = *out is the
+  // admitted Lepton object; false = the container failed the gate (corrupt
+  // or mismatched) and nothing was admitted — the caller falls back, it
+  // never stores the container.
   bool admit_converted(std::span<const std::uint8_t> original,
                        std::vector<std::uint8_t> container, StoredObject* out,
                        PutStats* stats = nullptr) const;
 
-  // Retrieves the original bytes. Returns a classified error if the
-  // payload is corrupt: md5 mismatch, failed decode, or a "successful"
-  // Lepton decode whose arithmetic payload overran / was not exhausted
-  // (classified kShortRead — the §5.7 posture that consumption facts are
-  // part of correctness). `decode_stats` (optional) receives the raw facts
-  // for Lepton-stored objects.
+  // Retrieves the original bytes: md5 check, then decode_object(). Returns
+  // a classified error if the payload is corrupt: md5 mismatch, failed
+  // decode, or a "successful" Lepton decode whose arithmetic payload
+  // overran / was not exhausted (kShortRead). `decode_stats` (optional)
+  // receives the raw facts for Lepton-stored objects.
   Result get(const StoredObject& obj, DecodeStats* decode_stats = nullptr) const;
 
   // Emergency shutoff (§5.7): when tripped, put() skips Lepton entirely and

@@ -1,6 +1,6 @@
 #include "lepton/verify.h"
 
-#include "lepton/context.h"
+#include "lepton/store.h"
 
 namespace lepton {
 
@@ -15,20 +15,15 @@ void QualificationRunner::run_file(std::span<const std::uint8_t> file,
     return;
   }
 
-  // Decode #1: production configuration (multithreaded), with stream
-  // accounting: a "successful" decode whose arithmetic payload overran is a
-  // truncated/corrupt stream that happened to produce the right byte count,
-  // and must not be admitted (§5.7).
+  // Decode #1: production configuration (multithreaded), through the one
+  // §5.7 container check: byte-identical to the input, arithmetic payload
+  // exactly consumed. A "successful" decode that overran or left payload
+  // unconsumed is a corrupt stream that happened to produce the right byte
+  // count, and must not be admitted.
   DecodeOptions par;
   par.run_parallel = true;
-  DecodeStats stats;
-  Result d1;
-  {
-    VectorSink sink;
-    d1.code = decode_lepton({enc.data.data(), enc.data.size()}, sink, par,
-                            default_context(), &stats);
-    d1.data = std::move(sink.data);
-  }
+  ContainerCheck d1 =
+      check_container({enc.data.data(), enc.data.size()}, file, par);
 
   // Decode #2: independent schedule (the gcc/asan single-threaded build in
   // production, §5.2/§5.6).
@@ -37,19 +32,18 @@ void QualificationRunner::run_file(std::span<const std::uint8_t> file,
   Result d2 = decode_lepton({enc.data.data(), enc.data.size()}, ser);
   if (mutator_) mutator_(d2.data);
 
-  bool rt1 = d1.ok() && !stats.payload_overrun &&
-             d1.data.size() == file.size() &&
-             std::equal(d1.data.begin(), d1.data.end(), file.begin());
-  if (!rt1) {
+  if (!d1.ok()) {
     ++rep->mismatches;
     ++rep->by_code[static_cast<std::size_t>(util::ExitCode::kRoundtripFailed)];
     rep->alerts.push_back(
-        stats.payload_overrun
+        d1.stats.payload_overrun
             ? "decoder overran its arithmetic payload (truncation, §5.7)"
+        : d1.code == util::ExitCode::kShortRead
+            ? "arithmetic payload left unconsumed (§5.7)"
             : "round-trip mismatch (pages the on-call, §5.7)");
     return;
   }
-  if (!d2.ok() || d2.data != d1.data) {
+  if (!d2.ok() || d2.data != d1.bytes) {
     ++rep->nondeterminism;
     rep->alerts.push_back(
         "two decodes of one file disagree: nondeterminism (§5.2)");

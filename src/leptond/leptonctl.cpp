@@ -48,9 +48,10 @@ int usage() {
       "                         healthy/degraded/dead table; exit 1 if any\n"
       "                         endpoint is dead\n"
       "  fsck DIR (offline)     check a durable-store directory: recovery\n"
-      "                         pass + full md5 verify; quarantines torn/\n"
-      "                         orphaned/corrupt files; exit 1 when any\n"
-      "                         acknowledged key is lost\n",
+      "                         pass + full size/md5 verify; quarantines\n"
+      "                         torn/orphaned/corrupt files and superseded\n"
+      "                         versions; exit 1 when any acknowledged key\n"
+      "                         is lost\n",
       stderr);
   return 2;
 }
@@ -205,8 +206,9 @@ int cmd_health(const std::vector<std::string>& endpoints) {
   return 0;
 }
 
-// Offline store check: runs DurableStore's recovery pass (temps and
-// orphans swept to quarantine, every referenced object md5-verified) and
+// Offline store check: runs DurableStore's recovery pass (temps, orphans
+// and superseded versions swept to quarantine, every referenced object
+// size- and md5-verified) and
 // reports. Loss — an acknowledged key whose bytes are gone or corrupt —
 // is the only nonzero-exit condition; quarantined garbage is routine
 // after a crash and exits 0.
@@ -225,6 +227,9 @@ int cmd_fsck(const std::string& dir) {
   std::printf("  quarantined       %llu (of which orphaned %llu)\n",
               static_cast<unsigned long long>(rep.quarantined),
               static_cast<unsigned long long>(rep.orphaned));
+  std::printf("  superseded        %llu (earlier versions of overwritten "
+              "keys, moved aside)\n",
+              static_cast<unsigned long long>(rep.superseded));
   std::printf("  lost              %llu\n",
               static_cast<unsigned long long>(rep.lost));
   if (!rep.ok()) {

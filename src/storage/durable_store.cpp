@@ -9,8 +9,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 
-#include "lepton/context.h"
 #include "storage/scrubber.h"
 #include "util/fileio.h"
 #include "util/md5.h"
@@ -133,10 +133,35 @@ bool parse_record(std::string_view line, JournalRecord* out) {
   return true;
 }
 
-bool file_size(const std::string& path, std::uint64_t* out) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode)) return false;
-  *out = static_cast<std::uint64_t>(st.st_size);
+// The one journal-text reader (recovery and the scrubber's journal check):
+// every complete line is parsed and checksum-validated. Trailing bytes
+// without a newline are a torn tail (recovery drops it; to a live scrub it
+// is an append in flight). False = no readable journal file.
+struct JournalScan {
+  std::vector<JournalRecord> records;
+  std::uint64_t bad_records = 0;  // complete lines failing parse/checksum
+  bool torn_tail = false;
+};
+
+bool read_journal(const std::string& path, JournalScan* out) {
+  std::vector<std::uint8_t> raw;
+  if (!fio::read_file(path, &raw)) return false;
+  std::string_view text(reinterpret_cast<const char*>(raw.data()), raw.size());
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) {
+      out->torn_tail = true;
+      break;
+    }
+    JournalRecord r;
+    if (parse_record(text.substr(pos, nl - pos), &r)) {
+      out->records.push_back(std::move(r));
+    } else {
+      ++out->bad_records;
+    }
+    pos = nl + 1;
+  }
   return true;
 }
 
@@ -191,6 +216,7 @@ bool DurableStore::quarantine_file(const std::string& rel_dir,
                                    const std::string& name,
                                    const std::string& reason) {
   std::string from = cfg_.root + "/" + rel_dir + "/" + name;
+  if (::access(from.c_str(), F_OK) != 0) return false;  // nothing to move
   // The sequence restarts at 0 on every open and rename() overwrites an
   // existing destination, so probe until a name no other run has used —
   // "bytes are NEVER deleted" includes bytes a previous run preserved.
@@ -221,40 +247,50 @@ bool DurableStore::recover(std::string* err) {
   //    torn tail (crash mid-append) is dropped silently — that commit was
   //    never acknowledged; a bad line mid-file is counted as corruption.
   std::string jpath = cfg_.root + "/" + kJournalName;
-  std::vector<JournalRecord> records;
-  {
-    std::vector<std::uint8_t> raw;
-    if (fio::read_file(jpath, &raw)) {
-      std::string_view text(reinterpret_cast<const char*>(raw.data()),
-                            raw.size());
-      std::size_t pos = 0;
-      while (pos < text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos) {
-          ++rep.journal_torn_tail;
-          break;
-        }
-        JournalRecord r;
-        if (parse_record(text.substr(pos, nl - pos), &r)) {
-          records.push_back(std::move(r));
-        } else {
-          ++rep.journal_bad_records;
-        }
-        pos = nl + 1;
-      }
-    }
-  }
+  JournalScan journal;
+  read_journal(jpath, &journal);
+  rep.journal_torn_tail = journal.torn_tail ? 1 : 0;
+  rep.journal_bad_records = journal.bad_records;
 
-  // Last record per key wins; track which md5s are referenced.
+  // Last record per key wins; track which md5s are referenced. An md5 that
+  // only earlier records name is a superseded version, not an orphan.
   std::map<std::string, Entry, std::less<>> index;
-  for (const JournalRecord& r : records) {
+  for (const JournalRecord& r : journal.records) {
     index[r.key] = Entry{r.kind, r.md5_hex, r.size};
   }
   std::map<std::string, std::vector<std::string>> md5_keys;
   for (const auto& [key, e] : index) md5_keys[e.md5_hex].push_back(key);
+  std::set<std::string> superseded;
+  for (const JournalRecord& r : journal.records) {
+    if (md5_keys.count(r.md5_hex) == 0) superseded.insert(r.md5_hex);
+  }
 
-  // 2. Sweep the fanout: temps → quarantine, unreferenced → quarantine,
-  //    referenced → verify size (+ md5 when configured).
+  // 2. The verified read (size + md5) of every referenced object. Recovery
+  //    has no later retry: an object that is missing or cannot be read now
+  //    counts as lost, like one that failed verification (which is also
+  //    quarantined).
+  for (auto it = md5_keys.begin(); it != md5_keys.end();) {
+    std::vector<std::uint8_t> bytes;
+    if (read_object(index.find(it->second.front())->second, &bytes) ==
+        ObjectRead::kOk) {
+      ++it;
+      continue;
+    }
+    std::string rel = std::string(kObjectsDir) + "/" + it->first.substr(0, 2);
+    if (quarantine_file(rel, it->first,
+                        "payload mismatch at recovery (size or md5 vs "
+                        "journal)")) {
+      ++rep.corrupt_quarantined;
+    }
+    rep.keys_lost += it->second.size();
+    for (const std::string& k : it->second) index.erase(k);
+    it = md5_keys.erase(it);
+  }
+  rep.objects_live = md5_keys.size();
+  rep.keys_live = index.size();
+
+  // 3. Sweep the fanout: temps, superseded versions and unreferenced
+  //    objects → quarantine.
   std::string objects_root = cfg_.root + "/" + kObjectsDir;
   for (const std::string& fan : fio::list_dirs(objects_root)) {
     for (const std::string& name : fio::list_files(objects_root + "/" + fan)) {
@@ -263,58 +299,26 @@ bool DurableStore::recover(std::string* err) {
         if (quarantine_file(rel, name, "torn/partial commit (temp file)")) {
           ++rep.temps_quarantined;
         }
-        continue;
-      }
-      auto it = md5_keys.find(name);
-      if (it == md5_keys.end()) {
+      } else if (md5_keys.count(name) != 0) {
+        continue;  // live and verified above
+      } else if (superseded.count(name) != 0) {
+        // An overwritten key's earlier version: acknowledged once, then
+        // replaced. Moved aside like everything else, never deleted.
+        if (quarantine_file(rel, name,
+                            "superseded (earlier version of an overwritten "
+                            "key)")) {
+          ++rep.superseded_quarantined;
+        }
+      } else if (quarantine_file(rel, name,
+                                 "orphaned (no valid journal record)")) {
         // Present on disk, never acknowledged (the crash landed between
         // rename and journal append) — or its journal record was corrupted.
-        if (quarantine_file(rel, name, "orphaned (no valid journal record)")) {
-          ++rep.orphans_quarantined;
-        }
-        continue;
-      }
-      std::string path = objects_root + "/" + fan + "/" + name;
-      std::uint64_t sz = 0;
-      bool good = file_size(path, &sz);
-      std::uint64_t want = index[it->second.front()].size;
-      if (good && sz != want) good = false;
-      if (good && cfg_.verify_md5_on_open) {
-        std::vector<std::uint8_t> bytes;
-        good = fio::read_file(path, &bytes) &&
-               util::Md5::hex_digest({bytes.data(), bytes.size()}) == name;
-      }
-      if (!good) {
-        if (quarantine_file(rel, name, "payload mismatch at recovery "
-                                       "(size or md5 vs journal)")) {
-          ++rep.corrupt_quarantined;
-        }
-        rep.keys_lost += it->second.size();
-        for (const std::string& k : it->second) index.erase(k);
-        md5_keys.erase(it);
-        continue;
+        ++rep.orphans_quarantined;
       }
     }
   }
-  // Journal entries whose object file is missing entirely: acknowledged
-  // data that is simply gone — loss.
-  for (auto it = index.begin(); it != index.end();) {
-    std::uint64_t sz = 0;
-    if (!file_size(object_path(it->second.md5_hex), &sz)) {
-      ++rep.keys_lost;
-      it = index.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  {
-    std::map<std::string, bool> live_md5;
-    for (const auto& [key, e] : index) live_md5[e.md5_hex] = true;
-    rep.objects_live = live_md5.size();
-  }
-  rep.keys_live = index.size();
 
-  // 3. Rewrite the journal compacted (atomic, raw-side barriers): drops
+  // 4. Rewrite the journal compacted (atomic, raw-side barriers): drops
   //    torn tails, bad records, and superseded entries in one pass.
   {
     std::string body;
@@ -529,8 +533,33 @@ DurablePutStats DurableStore::put_object(std::string_view key,
                 obj.md5_hex, ps);
 }
 
-bool DurableStore::load_object(std::string_view key, StoredObject* obj,
-                               util::ExitCode* code, std::string* message) {
+DurableStore::ObjectRead DurableStore::read_object(
+    const Entry& e, std::vector<std::uint8_t>* bytes) const {
+  if (!fio::read_file(object_path(e.md5_hex), bytes)) {
+    return ObjectRead::kUnreadable;
+  }
+  if (bytes->size() != e.size ||
+      util::Md5::hex_digest({bytes->data(), bytes->size()}) != e.md5_hex) {
+    return ObjectRead::kMismatch;
+  }
+  return ObjectRead::kOk;
+}
+
+void DurableStore::quarantine_corrupt_locked(const std::string& md5_hex,
+                                             const std::string& reason) {
+  quarantine_file(std::string(kObjectsDir) + "/" + md5_hex.substr(0, 2),
+                  md5_hex, reason);
+  for (auto it = index_.begin(); it != index_.end();) {
+    if (it->second.md5_hex == md5_hex) {
+      it = index_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+bool DurableStore::get_object(std::string_view key, StoredObject* out,
+                              util::ExitCode* code, std::string* message) {
   Entry e;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -539,33 +568,31 @@ bool DurableStore::load_object(std::string_view key, StoredObject* obj,
     e = it->second;
     ++stats_.gets;
   }
-  obj->kind = e.kind;
-  obj->md5_hex = e.md5_hex;
-  if (!fio::read_file(object_path(e.md5_hex), &obj->payload)) {
-    // A failed open/read is not evidence of corruption — fd exhaustion or
-    // a transient EIO can fail the read while the bytes on disk are
-    // perfectly healthy. Leave the object and the index alone so the key
-    // stays retryable; only a verified md5 mismatch may quarantine.
+  out->kind = e.kind;
+  out->md5_hex = e.md5_hex;
+  ObjectRead rd = read_object(e, &out->payload);
+  util::ExitCode c = util::ExitCode::kSuccess;
+  std::string msg;
+  if (rd != ObjectRead::kOk) {
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.get_read_errors;
-    *code = util::ExitCode::kIoError;
-    *message = "stored object could not be read; retryable";
-    return true;
-  }
-  if (util::Md5::hex_digest({obj->payload.data(), obj->payload.size()}) !=
-      e.md5_hex) {
-    // Never serve corrupt bytes: quarantine now, report the loss.
-    std::lock_guard<std::mutex> lk(mu_);
-    if (quarantine_file(std::string(kObjectsDir) + "/" + e.md5_hex.substr(0, 2),
-                        e.md5_hex, "md5 mismatch on get()")) {
+    c = util::ExitCode::kIoError;
+    if (rd == ObjectRead::kUnreadable) {
+      // A failed open/read is not evidence of corruption — fd exhaustion or
+      // a transient EIO can fail the read while the bytes on disk are
+      // perfectly healthy. Leave the object and the index alone so the key
+      // stays retryable.
+      ++stats_.get_read_errors;
+      msg = "stored object could not be read; retryable";
+    } else {
+      // Never serve corrupt bytes: quarantine now, report the loss.
+      quarantine_corrupt_locked(e.md5_hex, "md5 mismatch on get()");
+      ++stats_.get_corrupt_quarantined;
+      msg = "stored object failed integrity check; quarantined";
     }
-    drop_keys_with_md5_locked(e.md5_hex);
-    ++stats_.get_corrupt_quarantined;
-    *code = util::ExitCode::kIoError;
-    *message = "stored object failed integrity check; quarantined";
-    return true;
+    out->payload.clear();
   }
-  *code = util::ExitCode::kSuccess;
+  if (code != nullptr) *code = c;
+  if (message != nullptr) *message = std::move(msg);
   return true;
 }
 
@@ -573,25 +600,16 @@ bool DurableStore::get(std::string_view key, Result* out) {
   StoredObject obj;
   util::ExitCode code = util::ExitCode::kSuccess;
   std::string message;
-  if (!load_object(key, &obj, &code, &message)) return false;
+  if (!get_object(key, &obj, &code, &message)) return false;
   if (code != util::ExitCode::kSuccess) {
     out->code = code;
     out->data.clear();
     out->message = std::move(message);
     return true;
   }
-  // The codec-layer get re-checks md5 (cheap, and preserves the §5.7
-  // posture that consumption facts are part of correctness for kLepton).
-  *out = codec_store_.get(obj);
-  return true;
-}
-
-bool DurableStore::get_object(std::string_view key, StoredObject* out,
-                              util::ExitCode* code) {
-  util::ExitCode c = util::ExitCode::kSuccess;
-  std::string message;
-  if (!load_object(key, out, &c, &message)) return false;
-  if (code != nullptr) *code = c;
+  // The bytes were just verified against the journal; decode without
+  // hashing them again.
+  *out = decode_object(obj);
   return true;
 }
 
@@ -604,16 +622,6 @@ bool DurableStore::lookup(std::string_view key, StorageKind* kind,
   if (md5_hex != nullptr) *md5_hex = it->second.md5_hex;
   if (size != nullptr) *size = it->second.size;
   return true;
-}
-
-void DurableStore::drop_keys_with_md5_locked(const std::string& md5_hex) {
-  for (auto it = index_.begin(); it != index_.end();) {
-    if (it->second.md5_hex == md5_hex) {
-      it = index_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 bool DurableStore::contains(std::string_view key) const {
@@ -651,77 +659,51 @@ DurableStoreStats DurableStore::stats() const {
   return stats_;
 }
 
-std::vector<DurableStore::ScrubItem> DurableStore::scrub_snapshot() const {
+std::vector<DurableStore::Entry> DurableStore::scrub_snapshot() const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::map<std::string, ScrubItem> by_md5;
-  for (const auto& [key, e] : index_) {
-    by_md5[e.md5_hex] = ScrubItem{e.md5_hex, e.kind, e.size};
-  }
-  std::vector<ScrubItem> out;
+  std::map<std::string, Entry> by_md5;
+  for (const auto& [key, e] : index_) by_md5[e.md5_hex] = e;
+  std::vector<Entry> out;
   out.reserve(by_md5.size());
-  for (auto& [md5, item] : by_md5) out.push_back(std::move(item));
+  for (auto& [md5, e] : by_md5) out.push_back(std::move(e));
   return out;
 }
 
-std::uint64_t DurableStore::scrub_verify_object(const ScrubItem& item,
+std::uint64_t DurableStore::scrub_verify_object(const Entry& item,
                                                 bool decode_check) {
   std::vector<std::uint8_t> bytes;
-  if (!fio::read_file(object_path(item.md5_hex), &bytes)) {
+  ObjectRead rd = read_object(item, &bytes);
+  bool lepton_check = decode_check && item.kind == StorageKind::kLepton;
+  // Decode spot-check: the container must still pass the §5.7 check get()
+  // would apply.
+  bool decode_ok = rd != ObjectRead::kOk || !lepton_check ||
+                   check_container({bytes.data(), bytes.size()}).ok();
+  std::lock_guard<std::mutex> lk(mu_);
+  ++stats_.scrub_objects_checked;
+  if (rd == ObjectRead::kUnreadable) {
     // Same rule as get(): a failed read proves nothing about the bytes on
-    // disk. Count it and move on — the next pass (or a get) retries; only
-    // a verified mismatch of successfully-read bytes may quarantine.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.scrub_objects_checked;
+    // disk. Count it and move on — the next pass (or a get) retries.
     ++stats_.scrub_read_errors;
     return 0;
   }
-  bool good = bytes.size() == item.size &&
-              util::Md5::hex_digest({bytes.data(), bytes.size()}) ==
-                  item.md5_hex;
-  bool decode_ok = true;
-  if (good && decode_check && item.kind == StorageKind::kLepton) {
-    // Decode spot-check: the container must still decode cleanly with its
-    // payload exactly consumed — the §5.7 facts get() would require.
-    VectorSink sink;
-    DecodeStats ds;
-    util::ExitCode code = decode_lepton({bytes.data(), bytes.size()}, sink, {},
-                                        default_context(), &ds);
-    decode_ok = code == util::ExitCode::kSuccess && ds.payload_exhausted;
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.scrub_objects_checked;
   stats_.scrub_bytes_read += bytes.size();
-  if (decode_check && item.kind == StorageKind::kLepton) {
-    ++stats_.scrub_decode_checks;
-  }
-  if (good && decode_ok) return bytes.size();
+  if (lepton_check) ++stats_.scrub_decode_checks;
+  if (rd == ObjectRead::kOk && decode_ok) return bytes.size();
   ++stats_.scrub_corrupt_found;
-  if (quarantine_file(
-          std::string(kObjectsDir) + "/" + item.md5_hex.substr(0, 2),
-          item.md5_hex,
-          good ? "decode spot-check failed (scrub)" : "md5 mismatch (scrub)")) {
-  }
-  drop_keys_with_md5_locked(item.md5_hex);
+  quarantine_corrupt_locked(item.md5_hex,
+                            rd == ObjectRead::kOk
+                                ? "decode spot-check failed (scrub)"
+                                : "md5 mismatch (scrub)");
   return bytes.size();
 }
 
 void DurableStore::scrub_verify_journal() {
   // Re-read the on-disk journal and checksum-validate every complete
   // record: bit rot in the journal itself must be detected, not trusted.
-  std::vector<std::uint8_t> raw;
-  if (!fio::read_file(cfg_.root + "/" + kJournalName, &raw)) return;
-  std::string_view text(reinterpret_cast<const char*>(raw.data()), raw.size());
-  std::uint64_t bad = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) break;  // in-flight append, not corruption
-    JournalRecord r;
-    if (!parse_record(text.substr(pos, nl - pos), &r)) ++bad;
-    pos = nl + 1;
-  }
+  JournalScan journal;
+  if (!read_journal(cfg_.root + "/" + kJournalName, &journal)) return;
   std::lock_guard<std::mutex> lk(mu_);
-  stats_.scrub_journal_bad_records += bad;
+  stats_.scrub_journal_bad_records += journal.bad_records;
 }
 
 void DurableStore::start_scrubber(ScrubberConfig cfg) {
@@ -747,7 +729,6 @@ FsckReport DurableStore::fsck(const std::string& root, std::string* err) {
   FsckReport rep;
   DurableStoreConfig cfg;
   cfg.root = root;
-  cfg.verify_md5_on_open = true;
   std::unique_ptr<DurableStore> s = open(std::move(cfg), err);
   if (s == nullptr) {
     rep.lost = ~0ull;  // unusable store: report as loss-grade
@@ -757,6 +738,7 @@ FsckReport DurableStore::fsck(const std::string& root, std::string* err) {
   rep.healthy = st.recovery.objects_live;
   rep.keys = st.recovery.keys_live;
   rep.orphaned = st.recovery.orphans_quarantined;
+  rep.superseded = st.recovery.superseded_quarantined;
   rep.quarantined = st.recovery.temps_quarantined +
                     st.recovery.orphans_quarantined +
                     st.recovery.corrupt_quarantined;

@@ -31,11 +31,17 @@
 // fully intact; never half-served, never served corrupt.
 //
 // Recovery (open()): parse the journal (checksum-validated, torn tail
-// dropped), sweep temp files and unreferenced objects into `quarantine/`
-// with a reason line (bytes are NEVER deleted — quarantine is a move), and
-// verify size+md5 of every referenced object; a mismatch quarantines the
-// file and reports the keys as lost (fsck exits nonzero on loss). The
-// journal is then rewritten compacted, atomically.
+// dropped), sweep temp files, superseded versions of overwritten keys and
+// unreferenced objects into `quarantine/` with a reason line (bytes are
+// NEVER deleted — quarantine is a move), and verify size+md5 of every
+// referenced object; a mismatch quarantines the file and reports the keys
+// as lost (fsck exits nonzero on loss). The journal is then rewritten
+// compacted, atomically.
+//
+// One verified read: get(), get_object(), the scrubber and recovery all
+// read an object through read_object(), which checks the bytes' size and
+// md5 against the journal entry. Only a verified mismatch is evidence of
+// corruption; a failed read on the live store is retryable.
 //
 // Failed commits are first-class outcomes: ENOSPC/EDQUOT classify as
 // kDiskFull, other I/O errors as kIoError (never kImpossible), the temp
@@ -73,10 +79,6 @@ struct DurableStoreConfig {
   std::string root;
   FsyncMode fsync = FsyncMode::kAlways;
   std::size_t batch_puts = 16;
-  // Recovery verifies size of every referenced object always; full md5
-  // re-verification can be skipped for large stores (the scrubber then
-  // covers it incrementally).
-  bool verify_md5_on_open = true;
   EncodeOptions encode;  // TransparentStore codec policy
 };
 
@@ -96,6 +98,10 @@ struct RecoveryReport {
   std::uint64_t keys_live = 0;
   std::uint64_t temps_quarantined = 0;   // torn/partial commits swept
   std::uint64_t orphans_quarantined = 0; // files with no journal record
+  // Earlier versions of overwritten keys: a valid journal record names
+  // them, but a later record for the same key superseded it. Routine after
+  // overwrites, not a crash signal.
+  std::uint64_t superseded_quarantined = 0;
   std::uint64_t corrupt_quarantined = 0; // size/md5 mismatch vs journal
   std::uint64_t keys_lost = 0;           // acknowledged keys now unreadable
   std::uint64_t journal_torn_tail = 0;   // trailing partial record dropped
@@ -128,6 +134,7 @@ struct FsckReport {
   std::uint64_t healthy = 0;
   std::uint64_t quarantined = 0;  // this pass: temps + orphans + corrupt
   std::uint64_t orphaned = 0;     // subset of quarantined
+  std::uint64_t superseded = 0;   // moved aside too, but not suspects
   std::uint64_t lost = 0;         // acknowledged keys unreadable — data loss
   std::uint64_t keys = 0;
   bool ok() const { return lost == 0; }
@@ -141,7 +148,6 @@ struct ScrubberConfig {
   // Every Nth kLepton object additionally gets a decode spot-check (full
   // container decode, §5.7 consumption facts required). 0 disables.
   unsigned decode_check_every = 8;
-  bool journal_check = true;  // re-validate journal record checksums per pass
 };
 
 class DurableStore {
@@ -167,22 +173,24 @@ class DurableStore {
   // passed TransparentStore::admit_converted, or a put_passthrough object).
   DurablePutStats put_object(std::string_view key, const StoredObject& obj);
 
-  // Reads the original bytes back. False = key unknown (not an error).
-  // True with out->code != kSuccess = the key exists but cannot be served:
-  // an on-disk md5 mismatch quarantines the object immediately (kIoError;
-  // corrupt bytes are never returned); a failed open/read (fd exhaustion,
-  // transient EIO) is kIoError WITHOUT quarantine — the key stays
-  // retryable, since unread bytes are not evidence of corruption; and
-  // decode-layer failures classify as TransparentStore::get does.
+  // Reads the original bytes back: get_object(), then decode_object() on
+  // the verified bytes. False = key unknown (not an error). True with
+  // out->code != kSuccess = the key exists but cannot be served (see
+  // get_object), or decode-layer failures classified as decode_object does.
   bool get(std::string_view key, Result* out);
 
-  // Reads the stored container behind a key — payload + kind + md5, no
-  // decode. The shard-migration path (storage/sharded_store.h) moves
-  // objects between shards at rest with this. Same contract as get():
-  // false = key unknown; true with *code != kSuccess = the key exists but
-  // the object is unreadable (retryable) or failed its md5 (quarantined).
+  // The verified read: the stored container behind a key — payload + kind
+  // + md5, no decode — checked for size and md5 against its journal entry.
+  // False = key unknown. True with *code != kSuccess (kIoError, reason in
+  // *message) = the key exists but cannot be served: a size/md5 mismatch
+  // quarantines the object immediately and drops its keys (corrupt bytes
+  // are never returned); a failed open/read (fd exhaustion, transient EIO)
+  // leaves everything in place — the key stays retryable, since unread
+  // bytes are not evidence of corruption. The sharded store's cache-miss
+  // path and shard migration read through this.
   bool get_object(std::string_view key, StoredObject* out,
-                  util::ExitCode* code = nullptr);
+                  util::ExitCode* code = nullptr,
+                  std::string* message = nullptr);
 
   // Index peek: the content address (and kind/size) behind a key, without
   // touching disk. The sharded store keys its decode cache off this md5.
@@ -234,10 +242,11 @@ class DurableStore {
   DurableStore(DurableStoreConfig cfg);
 
   bool recover(std::string* err);
-  // Shared read path under get()/get_object(): index lookup, payload read,
-  // md5 verify (mismatch quarantines). False = key unknown.
-  bool load_object(std::string_view key, StoredObject* obj,
-                   util::ExitCode* code, std::string* message);
+  enum class ObjectRead : std::uint8_t { kOk, kUnreadable, kMismatch };
+  // The one verified read of an object file: reads objects/<aa>/<md5> into
+  // *bytes and checks its size and md5 against the journal entry.
+  ObjectRead read_object(const Entry& e,
+                         std::vector<std::uint8_t>* bytes) const;
   DurablePutStats commit(std::string_view key, StorageKind kind,
                          std::span<const std::uint8_t> payload,
                          const std::string& md5_hex, const PutStats& codec);
@@ -248,20 +257,20 @@ class DurableStore {
   // (file stays).
   bool quarantine_file(const std::string& rel_dir, const std::string& name,
                        const std::string& reason);
-  void drop_keys_with_md5_locked(const std::string& md5_hex);
+  // A verified mismatch on the live store: quarantine the object and drop
+  // every key that references it.
+  void quarantine_corrupt_locked(const std::string& md5_hex,
+                                 const std::string& reason);
   std::string object_dir(const std::string& md5_hex) const;
   std::string object_path(const std::string& md5_hex) const;
 
-  // Scrubber interface (scrubber.h drives these).
-  struct ScrubItem {
-    std::string md5_hex;
-    StorageKind kind;
-    std::uint64_t size;
-  };
-  std::vector<ScrubItem> scrub_snapshot() const;
-  // Re-reads + md5-verifies one object (decode spot-check optional).
-  // Returns bytes read; corrupt objects are quarantined and tallied.
-  std::uint64_t scrub_verify_object(const ScrubItem& item, bool decode_check);
+  // Scrubber interface (scrubber.h drives these). The snapshot holds one
+  // entry per distinct object.
+  std::vector<Entry> scrub_snapshot() const;
+  // Verified read of one object (plus the §5.7 check_container spot-check
+  // when asked). Returns bytes read; corrupt objects are quarantined and
+  // tallied.
+  std::uint64_t scrub_verify_object(const Entry& item, bool decode_check);
   void scrub_verify_journal();
 
   DurableStoreConfig cfg_;

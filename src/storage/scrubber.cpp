@@ -37,9 +37,9 @@ bool Scrubber::throttle(std::uint64_t bytes_read) {
 }
 
 void Scrubber::run_pass() {
-  std::vector<DurableStore::ScrubItem> items = store_->scrub_snapshot();
+  std::vector<DurableStore::Entry> items = store_->scrub_snapshot();
   unsigned lepton_seen = 0;
-  for (const DurableStore::ScrubItem& item : items) {
+  for (const DurableStore::Entry& item : items) {
     bool decode_check = false;
     if (item.kind == StorageKind::kLepton && cfg_.decode_check_every != 0) {
       decode_check = (lepton_seen++ % cfg_.decode_check_every) == 0;
@@ -49,7 +49,7 @@ void Scrubber::run_pass() {
     // only the background thread throttles.
     if (running_ && !throttle(bytes)) return;
   }
-  if (cfg_.journal_check) store_->scrub_verify_journal();
+  store_->scrub_verify_journal();
 }
 
 void Scrubber::thread_main() {

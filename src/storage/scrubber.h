@@ -2,12 +2,12 @@
 //
 // Disks rot: the paper's posture of layered verification only holds if
 // someone actually re-reads the bytes. The scrubber walks every live
-// object on a cycle, re-computes its md5 against the journal's sealed
-// digest, runs a full decode spot-check on every Nth kLepton object
-// (decode must succeed AND consume its payload exactly — the same §5.7
-// facts the serving path demands), and re-validates the journal's own
-// record checksums. Anything that fails is quarantined through the
-// store's normal never-delete path and counted in `scrub_*` stats.
+// object on a cycle through the store's one verified read (size and md5
+// against the journal entry), runs the §5.7 check_container spot-check on
+// every Nth kLepton object (the same rule the serving path applies), and
+// re-validates the journal's own record checksums. Anything that fails is
+// quarantined through the store's normal never-delete path and counted in
+// `scrub_*` stats.
 //
 // Reads are token-bucket rate-limited so a scrub pass never competes with
 // serving traffic for disk bandwidth; all scrub I/O is raw (unrouted past

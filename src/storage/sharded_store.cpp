@@ -4,13 +4,10 @@
 
 namespace lepton::storage {
 
-ShardedStore::ShardedStore(ShardedStoreConfig cfg)
-    : cfg_(std::move(cfg)),
-      ring_(HashRingConfig{cfg_.ring_vnodes, cfg_.ring_seed}) {
+ShardedStore::ShardedStore(ShardedStoreConfig cfg) : cfg_(std::move(cfg)) {
   if (cfg_.decode_cache_bytes > 0) {
     DecodeCacheConfig cc;
     cc.budget_bytes = cfg_.decode_cache_bytes;
-    cc.max_entry_bytes = cfg_.decode_cache_max_entry_bytes;
     cache_ = std::make_unique<DecodeCache>(cc);
   }
 }
@@ -22,7 +19,6 @@ DurableStoreConfig ShardedStore::shard_store_config(
   DurableStoreConfig dc;
   dc.root = sh.root;
   dc.fsync = cfg_.fsync;
-  dc.verify_md5_on_open = cfg_.verify_md5_on_open;
   dc.encode = cfg_.encode;
   return dc;
 }
@@ -78,33 +74,23 @@ std::shared_ptr<DurableStore> ShardedStore::route(std::string_view key,
   std::lock_guard<std::mutex> lk(mu_);
   int id = ring_.shard_of(key);
   *sid = id;
-  Shard& sh = shards_[static_cast<std::size_t>(id)];
-  if (is_put) {
-    ++stats_.puts;
-    ++sh.puts;
-    if (!sh.alive) {
-      ++stats_.puts_unavailable;
-      return nullptr;
-    }
-  } else {
-    ++stats_.gets;
-    ++sh.gets;
-    if (!sh.alive) {
-      ++stats_.gets_unavailable;
-      return nullptr;
-    }
+  const Shard& sh = shards_[static_cast<std::size_t>(id)];
+  ++(is_put ? stats_.puts : stats_.gets);
+  if (!sh.alive) {
+    ++(is_put ? stats_.puts_unavailable : stats_.gets_unavailable);
+    return nullptr;
   }
   return sh.store;
 }
 
-void ShardedStore::finish_put(int sid, const std::string& old_cache_key,
-                              bool had_old, ShardedPutStats* out) {
-  if (out->durable.acknowledged && cache_ != nullptr && had_old) {
+void ShardedStore::finish_put(const std::string& old_cache_key,
+                              ShardedPutStats* out) {
+  if (out->durable.acknowledged && cache_ != nullptr &&
+      !old_cache_key.empty()) {
     std::string new_key = cache_key(out->durable.md5_hex, out->durable.kind);
     if (new_key != old_cache_key) cache_->invalidate(old_cache_key);
   }
   std::lock_guard<std::mutex> lk(mu_);
-  (void)sid;
   if (out->durable.acknowledged) {
     ++stats_.puts_acknowledged;
   } else {
@@ -138,8 +124,7 @@ ShardedPutStats ShardedStore::put(std::string_view key,
   } else {
     out.durable = store->put(key, file);
   }
-  finish_put(out.shard, had_old ? cache_key(old_md5, old_kind) : std::string(),
-             had_old, &out);
+  finish_put(had_old ? cache_key(old_md5, old_kind) : std::string(), &out);
   return out;
 }
 
@@ -155,8 +140,7 @@ ShardedPutStats ShardedStore::put_object(std::string_view key,
   std::string old_md5;
   bool had_old = store->lookup(key, &old_kind, &old_md5, nullptr);
   out.durable = store->put_object(key, obj);
-  finish_put(out.shard, had_old ? cache_key(old_md5, old_kind) : std::string(),
-             had_old, &out);
+  finish_put(had_old ? cache_key(old_md5, old_kind) : std::string(), &out);
   return out;
 }
 
@@ -175,6 +159,7 @@ bool ShardedStore::get(std::string_view key, Result* out, ShardedGetStats* gs) {
     out->message = "owning shard is down; retryable";
     return true;
   }
+  // Cache probe: the index peek names the object the key holds right now.
   StorageKind kind{};
   std::string md5;
   if (!store->lookup(key, &kind, &md5, nullptr)) {
@@ -182,9 +167,8 @@ bool ShardedStore::get(std::string_view key, Result* out, ShardedGetStats* gs) {
     ++stats_.gets_not_found;
     return false;
   }
-  std::string ck = cache_key(md5, kind);
   if (cache_ != nullptr) {
-    if (DecodeCache::Value v = cache_->get(ck)) {
+    if (DecodeCache::Value v = cache_->get(cache_key(md5, kind))) {
       out->code = util::ExitCode::kSuccess;
       out->message.clear();
       out->data.assign(v->begin(), v->end());
@@ -194,12 +178,24 @@ bool ShardedStore::get(std::string_view key, Result* out, ShardedGetStats* gs) {
       return true;
     }
   }
-  if (!store->get(key, out)) {
-    // The key vanished between lookup and read (overwrite race resolved to
-    // a quarantined object); report it as the store did.
+  // Miss: the verified read. An overwrite may have landed since the probe,
+  // so the object read — not the one probed — names the cache entry.
+  StoredObject obj;
+  util::ExitCode code = util::ExitCode::kSuccess;
+  std::string message;
+  if (!store->get_object(key, &obj, &code, &message)) {
+    // The key vanished between lookup and read (its object was quarantined);
+    // report it as the store did.
     std::lock_guard<std::mutex> lk(mu_);
     ++stats_.gets_not_found;
     return false;
+  }
+  if (code == util::ExitCode::kSuccess) {
+    *out = decode_object(obj);
+  } else {
+    out->code = code;
+    out->data.clear();
+    out->message = std::move(message);
   }
   if (!out->ok()) {
     std::lock_guard<std::mutex> lk(mu_);
@@ -209,7 +205,7 @@ bool ShardedStore::get(std::string_view key, Result* out, ShardedGetStats* gs) {
   if (cache_ != nullptr) {
     auto shared = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(out->data));
-    cache_->put(ck, shared);
+    cache_->put(cache_key(obj.md5_hex, obj.kind), shared);
     out->data = *shared;
   }
   return true;
@@ -295,6 +291,7 @@ bool ShardedStore::restart_shard(int shard, std::string* err) {
   std::lock_guard<std::mutex> lk(mu_);
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   if (sh.alive) return true;  // lost a restart race; drop our copy
+  store->codec().set_shutoff(shutoff_);
   sh.store = std::move(store);
   sh.alive = true;
   ++stats_.shard_restarts;
@@ -335,6 +332,7 @@ bool ShardedStore::add_shard(ShardBackendConfig shard, std::string* err) {
       ++stats_.migrated_objects;
     }
   }
+  store->codec().set_shutoff(shutoff_);
   Shard slot;
   slot.cfg = std::move(shard);
   slot.store = std::move(store);
@@ -347,6 +345,7 @@ bool ShardedStore::add_shard(ShardBackendConfig shard, std::string* err) {
 void ShardedStore::set_shutoff(bool on) {
   {
     std::lock_guard<std::mutex> lk(mu_);
+    shutoff_ = on;
     for (Shard& sh : shards_) {
       if (sh.alive) sh.store->codec().set_shutoff(on);
     }
@@ -393,18 +392,6 @@ ShardedStoreStats ShardedStore::stats() const {
   {
     std::lock_guard<std::mutex> lk(mu_);
     out = stats_;
-    out.shards.reserve(shards_.size());
-    for (const Shard& sh : shards_) {
-      ShardHealth h;
-      h.name = sh.cfg.name;
-      h.root = sh.cfg.root;
-      h.alive = sh.alive;
-      h.fleet = !sh.cfg.endpoints.empty();
-      h.keys = sh.alive ? sh.store->key_count() : 0;
-      h.puts = sh.puts;
-      h.gets = sh.gets;
-      out.shards.push_back(std::move(h));
-    }
   }
   if (cache_ != nullptr) out.cache = cache_->stats();
   return out;

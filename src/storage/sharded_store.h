@@ -31,9 +31,15 @@
 // Decode-cache coherence: entries are keyed by content address
 // (payload md5 + storage kind — the kind is part of the key because one
 // payload byte-string can legally decode differently under different
-// kinds), so a resident entry can never be wrong. Overwrites additionally
-// invalidate the old payload's entry, and a SHUTOFF drill clears the cache
-// (see decode_cache.h).
+// kinds). A miss reads through DurableStore::get_object, the one verified
+// read, and caches the decoded bytes under the md5/kind of the object that
+// read returned — never under the address an earlier index lookup saw,
+// which a racing overwrite may have replaced — so a resident entry can
+// never be wrong. Overwrites additionally invalidate the old payload's
+// entry, and a SHUTOFF drill clears the cache (see decode_cache.h).
+//
+// SHUTOFF is a fleet-wide state: the switch set by set_shutoff() is applied
+// to every backend the store opens later (restart_shard, add_shard) too.
 #pragma once
 
 #include <cstdint>
@@ -59,16 +65,14 @@ struct ShardBackendConfig {
   std::vector<std::string> endpoints;
 };
 
+// The ring uses HashRingConfig's defaults and the cache DecodeCacheConfig's
+// per-entry cap (budget / 4); recovery always md5-verifies every object.
 struct ShardedStoreConfig {
   std::vector<ShardBackendConfig> shards;
-  int ring_vnodes = 128;
-  std::uint64_t ring_seed = 1017;
   // Decoded-output LRU budget; 0 disables the cache entirely.
   std::size_t decode_cache_bytes = 64u << 20;
-  std::size_t decode_cache_max_entry_bytes = 0;  // 0 = budget/4
   // Per-shard DurableStore settings.
   FsyncMode fsync = FsyncMode::kBatch;
-  bool verify_md5_on_open = true;
   EncodeOptions encode;
   // Template for per-shard fleet clients (endpoints replaced per shard).
   FleetClientConfig fleet;
@@ -84,16 +88,6 @@ struct ShardedPutStats {
 struct ShardedGetStats {
   int shard = -1;
   bool cache_hit = false;
-};
-
-struct ShardHealth {
-  std::string name;
-  std::string root;
-  bool alive = false;
-  bool fleet = false;  // converts via endpoints
-  std::uint64_t keys = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
 };
 
 struct ShardedStoreStats {
@@ -114,7 +108,6 @@ struct ShardedStoreStats {
   std::uint64_t shard_restarts = 0;
   std::uint64_t shutoff_drills = 0;
   DecodeCacheStats cache;
-  std::vector<ShardHealth> shards;
 };
 
 class ShardedStore {
@@ -136,7 +129,8 @@ class ShardedStore {
   // replay driver's simulated-object path).
   ShardedPutStats put_object(std::string_view key, const StoredObject& obj);
 
-  // Reads through the decode cache. False = key unknown fleet-wide. True
+  // Reads through the decode cache; a miss is get_object (the verified
+  // read) plus decode_object. False = key unknown fleet-wide. True
   // with out->code != kSuccess: kServerShutdown when the owning shard is
   // down (the key may exist — absence is never claimed on a dead shard),
   // otherwise DurableStore::get's classification.
@@ -161,8 +155,8 @@ class ShardedStore {
   bool add_shard(ShardBackendConfig shard, std::string* err);
 
   // §5.7 SHUTOFF drill across the fleet: flips every live shard's codec
-  // switch and (on engage) clears the decode cache so the drill observes
-  // the real uncached path.
+  // switch, remembers the state for backends opened later, and (on engage)
+  // clears the decode cache so the drill observes the real uncached path.
   void set_shutoff(bool on);
 
   // Journal group-commit barrier on every live shard.
@@ -184,8 +178,6 @@ class ShardedStore {
     std::unique_ptr<FleetClient> fleet;
     bool alive = false;
     bool scrub = false;  // scrubber armed (so restart notes it is not)
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
   };
 
   explicit ShardedStore(ShardedStoreConfig cfg);
@@ -198,14 +190,16 @@ class ShardedStore {
   std::shared_ptr<DurableStore> route(std::string_view key, int* sid,
                                       bool is_put);
   static std::string cache_key(const std::string& md5_hex, StorageKind kind);
-  void finish_put(int sid, const std::string& old_cache_key, bool had_old,
-                  ShardedPutStats* out);
+  // Counts the put and, after an acknowledged overwrite, drops the old
+  // payload's cache entry (`old_cache_key` empty = the key was new).
+  void finish_put(const std::string& old_cache_key, ShardedPutStats* out);
 
   ShardedStoreConfig cfg_;
   HashRing ring_;
   std::unique_ptr<DecodeCache> cache_;
   mutable std::mutex mu_;  // shards_ + counters (ring is write-locked too)
   std::vector<Shard> shards_;
+  bool shutoff_ = false;  // applied to every backend opened (set_shutoff)
   ShardedStoreStats stats_;
 };
 

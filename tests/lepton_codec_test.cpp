@@ -219,14 +219,14 @@ TEST(LeptonCodec, ShortSegmentPayloadReportsOverrun) {
   ASSERT_EQ(pc.header.segments.size(), 1u);
   ASSERT_GT(pc.arith[0].size(), 16u);
   pc.arith[0].resize(16);
+  auto short_lep = lepton::core::serialize_container(pc.header, pc.arith);
   lepton::VectorSink sink;
   lepton::DecodeStats stats;
-  try {
-    lepton::core::decode_container(pc, sink, {}, lepton::default_context(),
-                                   &stats);
-  } catch (const jf::ParseError&) {
-    // wrong byte count / classified failure is the expected outcome
-  }
+  ExitCode code = lepton::decode_lepton(
+      {short_lep.data(), short_lep.size()}, sink, {},
+      lepton::default_context(), &stats);
+  // Wrong byte count / classified failure is the expected outcome.
+  EXPECT_NE(code, ExitCode::kSuccess);
   EXPECT_TRUE(stats.payload_overrun);
   EXPECT_FALSE(stats.payload_exhausted);
 }

@@ -2,14 +2,17 @@
 // properties (determinism, uniformity, minimal remap — fuzzed over random
 // membership histories), a differential check that ShardedStore over N
 // durable backends serves byte-identically to a single store through
-// overwrites and a shard kill/restart, and the decode-cache invariants
+// overwrites and a shard kill/restart, the decode-cache invariants
 // (byte-identity, budget under concurrency, overwrite/SHUTOFF coherence,
-// counter reconciliation). hash_ring.h states the invariants; this file is
-// where they are pinned down.
+// no poisoning by a racing overwrite, counter reconciliation), SHUTOFF
+// across restarts and growth, and the per-shard fleet conversion path.
+// hash_ring.h states the invariants; this file is where they are pinned
+// down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <set>
@@ -628,6 +631,172 @@ TEST(ShardedStore, ShutoffDrillClearsCacheAndForcesDeflate) {
   ASSERT_TRUE(ps.durable.acknowledged);
   EXPECT_NE(ps.durable.kind, lepton::StorageKind::kDeflate)
       << "codec switch stuck after the drill cleared";
+}
+
+TEST(ShardedStore, OverwriteRaceCannotPoisonCache) {
+  // A cache miss must cache the bytes it read under the address of the
+  // object it read. A sibling key holds content X for good while a writer
+  // flips key k between X and Y (X dedups with the sibling: one md5). If a
+  // get of k probed X's address, lost the race to an overwrite, read Y and
+  // cached Y under X, the sibling would be served Y from then on.
+  ls::ShardedStoreConfig cfg = sharded_config("poison", 2, 8u << 20);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  const std::vector<std::uint8_t> x = test_jpeg(500, 6 << 10);
+  const std::vector<std::uint8_t> y = test_jpeg(501, 6 << 10);
+  ASSERT_NE(x, y);
+  ASSERT_TRUE(s->put("sibling", {x.data(), x.size()}).durable.acknowledged);
+  ASSERT_TRUE(s->put("k", {x.data(), x.size()}).durable.acknowledged);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> sibling_reads{0}, sibling_wrong{0}, k_wrong{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int i = 0; i < 400; ++i) {
+      const std::vector<std::uint8_t>& v = (i % 2 == 0) ? y : x;
+      s->put("k", {v.data(), v.size()});
+    }
+    done.store(true);
+  });
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&] {
+      while (!done.load()) {
+        lepton::Result res;
+        if (!s->get("k", &res) || !res.ok() ||
+            (res.data != x && res.data != y)) {
+          k_wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      lepton::Result res;
+      if (!s->get("sibling", &res) || !res.ok() || res.data != x) {
+        sibling_wrong.fetch_add(1);
+      }
+      sibling_reads.fetch_add(1);
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_GT(sibling_reads.load(), 0u);
+  EXPECT_EQ(sibling_wrong.load(), 0u)
+      << "the sibling was served another object's bytes from the cache";
+  EXPECT_EQ(k_wrong.load(), 0u) << "a read of k returned neither version";
+}
+
+// A key owned by `shard`, for tests that must land a put on one shard.
+std::string key_on_shard(const ls::ShardedStore& s, int shard,
+                         const std::string& prefix) {
+  for (int i = 0;; ++i) {
+    std::string key = prefix + std::to_string(i);
+    if (s.shard_of(key) == shard) return key;
+  }
+}
+
+TEST(ShardedStore, ShutoffStaysEngagedAcrossRestartAndAddShard) {
+  // SHUTOFF is fleet state, not a property of whichever backends happened
+  // to be open when it was flipped: a restarted shard and a newly added one
+  // must come up with the switch engaged.
+  ls::ShardedStoreConfig cfg = sharded_config("shutoff_reopen", 2, 0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  std::vector<std::uint8_t> jpeg = test_jpeg(420, 10 << 10);
+  s->set_shutoff(true);
+
+  ASSERT_TRUE(s->kill_shard(1));
+  ASSERT_TRUE(s->restart_shard(1, &err)) << err;
+  ls::ShardedPutStats ps =
+      s->put(key_on_shard(*s, 1, "restarted"), {jpeg.data(), jpeg.size()});
+  ASSERT_TRUE(ps.durable.acknowledged);
+  ASSERT_EQ(ps.shard, 1);
+  EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kDeflate)
+      << "restarted shard came up with SHUTOFF off";
+
+  ls::ShardBackendConfig fresh;
+  fresh.name = "shard-new";
+  fresh.root = fresh_root("shutoff_reopen_new");
+  ASSERT_TRUE(s->add_shard(fresh, &err)) << err;
+  ps = s->put(key_on_shard(*s, 2, "added"), {jpeg.data(), jpeg.size()});
+  ASSERT_TRUE(ps.durable.acknowledged);
+  ASSERT_EQ(ps.shard, 2);
+  EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kDeflate)
+      << "added shard came up with SHUTOFF off";
+
+  s->set_shutoff(false);
+  for (int shard : {1, 2}) {
+    ps = s->put(key_on_shard(*s, shard, "cleared"), {jpeg.data(), jpeg.size()});
+    ASSERT_TRUE(ps.durable.acknowledged);
+    EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kLepton)
+        << "shard " << shard << " stuck in SHUTOFF after the drill cleared";
+  }
+}
+
+TEST(ShardedStore, FleetShardConvertsRemotelyThenDegradesToPassthrough) {
+  // Shard 0 names a live leptond: its puts convert through the shard's
+  // FleetClient and the local §5.7 gate. Once the daemon stops, the same
+  // shard degrades to pass-through — acknowledged, byte-identical, never an
+  // error. Shard 1 keeps encoding locally throughout.
+  lepton::leptond::EventServerConfig ec;
+  ec.listen = "tcp:127.0.0.1:0";
+  ec.workers = 2;
+  lepton::leptond::EventServer srv(std::move(ec));
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+
+  ls::ShardedStoreConfig cfg = sharded_config("fleet", 2, 0);
+  cfg.shards[0].endpoints = {srv.bound_address()};
+  // No deadline: the test checks routing and degradation, not latency.
+  cfg.fleet.first_deadline = std::chrono::milliseconds(0);
+  cfg.fleet.backoff_base = std::chrono::milliseconds(1);
+  cfg.fleet.backoff_cap = std::chrono::milliseconds(4);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+
+  std::map<std::string, std::vector<std::uint8_t>> model;
+  auto put_on = [&](int shard, const std::string& prefix, std::uint64_t seed) {
+    std::string key = key_on_shard(*s, shard, prefix);
+    model[key] = test_jpeg(seed, 10 << 10);
+    const std::vector<std::uint8_t>& bytes = model[key];
+    return s->put(key, {bytes.data(), bytes.size()});
+  };
+
+  const int kEach = 3;
+  for (int i = 0; i < kEach; ++i) {
+    ls::ShardedPutStats ps = put_on(0, "remote" + std::to_string(i) + "-",
+                                    430 + i);
+    ASSERT_TRUE(ps.durable.acknowledged);
+    EXPECT_TRUE(ps.remote_converted);
+    EXPECT_FALSE(ps.passthrough);
+    EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kLepton);
+    ps = put_on(1, "local" + std::to_string(i) + "-", 440 + i);
+    ASSERT_TRUE(ps.durable.acknowledged);
+    EXPECT_FALSE(ps.remote_converted);
+    EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kLepton);
+  }
+
+  srv.stop();
+  for (int i = 0; i < kEach; ++i) {
+    ls::ShardedPutStats ps = put_on(0, "degraded" + std::to_string(i) + "-",
+                                    450 + i);
+    ASSERT_TRUE(ps.durable.acknowledged);
+    EXPECT_FALSE(ps.remote_converted);
+    EXPECT_TRUE(ps.passthrough);
+    EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kPassthrough);
+  }
+
+  for (const auto& [key, bytes] : model) {
+    lepton::Result r;
+    ASSERT_TRUE(s->get(key, &r)) << key;
+    ASSERT_TRUE(r.ok()) << key << ": " << r.message;
+    EXPECT_EQ(r.data, bytes) << key;
+  }
+  ls::ShardedStoreStats st = s->stats();
+  EXPECT_EQ(st.remote_conversions, static_cast<std::uint64_t>(kEach));
+  EXPECT_EQ(st.passthrough_fallbacks, static_cast<std::uint64_t>(kEach));
+  EXPECT_EQ(st.puts_acknowledged, static_cast<std::uint64_t>(3 * kEach));
 }
 
 // ---- decode cache: the serving daemon's DECODE path -------------------------

@@ -242,6 +242,7 @@ TEST(Thp, DisablingThpFixesTailNotMedian) {
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "corpus/corpus.h"
@@ -429,6 +430,48 @@ TEST(DurableStore, OrphanedObjectIsQuarantinedNotDeleted) {
     if (f.rfind(payload_md5, 0) == 0) found = true;
   }
   EXPECT_TRUE(found) << "orphaned payload bytes not preserved in quarantine";
+}
+
+// Overwriting a key leaves its earlier version on disk until the next
+// open. Recovery moves it aside (never deletes it) under its own reason and
+// counter: it is routine, not a crash signal, so fsck's orphaned and
+// quarantined counts stay at zero.
+TEST(DurableStore, SupersededVersionIsNotAnOrphan) {
+  std::string root = fresh_root("superseded");
+  std::vector<std::uint8_t> v1 = test_jpeg(40), v2 = test_jpeg(41);
+  std::string md5_v1;
+  {
+    auto s = open_store(root);
+    ls::DurablePutStats ps = s->put("k", {v1.data(), v1.size()});
+    ASSERT_TRUE(ps.acknowledged);
+    md5_v1 = ps.md5_hex;
+    ASSERT_TRUE(s->put("k", {v2.data(), v2.size()}).acknowledged);
+  }
+  std::string err;
+  ls::FsckReport rep = ls::DurableStore::fsck(root, &err);
+  EXPECT_TRUE(err.empty()) << err;
+  EXPECT_TRUE(rep.ok());
+  EXPECT_EQ(rep.orphaned, 0u);
+  EXPECT_EQ(rep.quarantined, 0u);
+  EXPECT_EQ(rep.superseded, 1u);
+  EXPECT_EQ(rep.keys, 1u);
+  EXPECT_EQ(rep.healthy, 1u);
+  std::ifstream log(root + "/quarantine/reasons.log");
+  std::string text((std::istreambuf_iterator<char>(log)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(text.find(md5_v1 + " <- objects/" + md5_v1.substr(0, 2) +
+                      ": superseded"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("orphaned"), std::string::npos) << text;
+
+  auto s = open_store(root);
+  EXPECT_EQ(s->stats().recovery.superseded_quarantined, 0u)
+      << "the compacted journal no longer names the old version";
+  lepton::Result r;
+  ASSERT_TRUE(s->get("k", &r));
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(r.data, v2);
 }
 
 // A torn journal tail (kill-9 mid-append) drops only the torn record:
