@@ -25,6 +25,7 @@
 #include <unistd.h>
 
 #include "bench_common.h"
+#include "lepton/store.h"
 #include "storage/durable_store.h"
 
 namespace {
@@ -65,10 +66,11 @@ StoreRun run_mode(const std::vector<lepton::corpus::CorpusFile>& files,
     }
   }
 
+  lepton::TransparentStore codec;
   double put_s = bench::time_s([&] {
     for (std::size_t i = 0; i < files.size(); ++i) {
       const auto& d = files[i].bytes;
-      auto ps = store->put("k" + std::to_string(i), {d.data(), d.size()});
+      auto ps = store->put_object("k" + std::to_string(i), codec.put(d));
       if (!ps.acknowledged) std::exit(1);
     }
     if (!store->sync()) std::exit(1);
@@ -79,7 +81,7 @@ StoreRun run_mode(const std::vector<lepton::corpus::CorpusFile>& files,
   double dedup_s = bench::time_s([&] {
     for (std::size_t i = 0; i < files.size(); ++i) {
       const auto& d = files[i].bytes;
-      auto ps = store->put("dup" + std::to_string(i), {d.data(), d.size()});
+      auto ps = store->put_object("dup" + std::to_string(i), codec.put(d));
       if (!ps.acknowledged || !ps.deduplicated) std::exit(1);
     }
     if (!store->sync()) std::exit(1);

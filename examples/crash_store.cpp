@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "lepton/store.h"
 #include "storage/durable_store.h"
 #include "util/failpoint.h"
 #include "util/fileio.h"
@@ -102,11 +103,12 @@ int child_main(const std::string& root, const std::string& acklog,
   if (ack_fd < 0) return kChildInvariant;
 
   std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ull + 1);
+  lepton::TransparentStore codec;
   for (int j = 0; j < 400; ++j) {
     int v = static_cast<int>((seed + static_cast<std::uint64_t>(j)) % kVariants);
     std::vector<std::uint8_t> jpeg = variant_jpeg(v);
     std::string key = "s" + std::to_string(seed) + "-k" + std::to_string(j);
-    DurablePutStats ps = store->put(key, {jpeg.data(), jpeg.size()});
+    DurablePutStats ps = store->put_object(key, codec.put(jpeg));
     if (!ps.acknowledged) {
       // Injected disk faults are first-class outcomes — anything else
       // leaking out of a failed commit is a bug.

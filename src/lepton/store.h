@@ -165,7 +165,6 @@ class TransparentStore {
   void set_shutoff(bool on) {
     shutoff_.store(on, std::memory_order_relaxed);
   }
-  bool shutoff() const { return shutoff_.load(std::memory_order_relaxed); }
   void set_shutoff_file(std::string path);
   bool shutoff_active() const;
 

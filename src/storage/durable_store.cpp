@@ -179,8 +179,7 @@ void append_reason(const std::string& root, const std::string& line) {
 
 }  // namespace
 
-DurableStore::DurableStore(DurableStoreConfig cfg)
-    : cfg_(std::move(cfg)), codec_store_(cfg_.encode) {}
+DurableStore::DurableStore(DurableStoreConfig cfg) : cfg_(std::move(cfg)) {}
 
 DurableStore::~DurableStore() {
   stop_scrubber();
@@ -404,15 +403,14 @@ bool DurableStore::append_journal_locked(const std::string& record,
   return true;
 }
 
-DurablePutStats DurableStore::commit(std::string_view key, StorageKind kind,
-                                     std::span<const std::uint8_t> payload,
-                                     const std::string& md5_hex,
-                                     const PutStats& codec) {
+DurablePutStats DurableStore::put_object(std::string_view key,
+                                         const StoredObject& obj) {
+  const std::string& md5_hex = obj.md5_hex;
+  const std::vector<std::uint8_t>& payload = obj.payload;
   DurablePutStats out;
-  out.kind = kind;
+  out.kind = obj.kind;
   out.md5_hex = md5_hex;
   out.bytes_stored = payload.size();
-  out.codec = codec;
 
   auto fail = [&](int err) -> DurablePutStats& {
     out.code = fio::classify_io_errno(err);
@@ -483,7 +481,7 @@ DurablePutStats DurableStore::commit(std::string_view key, StorageKind kind,
   }
 
   std::string record = format_record(
-      {std::string(key), kind, md5_hex, payload.size()});
+      {std::string(key), obj.kind, md5_hex, payload.size()});
   {
     std::lock_guard<std::mutex> lk(mu_);
     int io_err = 0;
@@ -504,7 +502,7 @@ DurablePutStats DurableStore::commit(std::string_view key, StorageKind kind,
       }
       return out;
     }
-    index_[std::string(key)] = Entry{kind, md5_hex, payload.size()};
+    index_[std::string(key)] = Entry{obj.kind, md5_hex, payload.size()};
     ++stats_.puts_acknowledged;
     if (have_object) {
       out.deduplicated = true;
@@ -514,23 +512,6 @@ DurablePutStats DurableStore::commit(std::string_view key, StorageKind kind,
   out.acknowledged = true;
   out.code = util::ExitCode::kSuccess;
   return out;
-}
-
-DurablePutStats DurableStore::put(std::string_view key,
-                                  std::span<const std::uint8_t> file) {
-  PutStats ps;
-  StoredObject obj = codec_store_.put(file, &ps);
-  return commit(key, obj.kind, {obj.payload.data(), obj.payload.size()},
-                obj.md5_hex, ps);
-}
-
-DurablePutStats DurableStore::put_object(std::string_view key,
-                                         const StoredObject& obj) {
-  PutStats ps;
-  ps.bytes_in = obj.payload.size();
-  ps.bytes_out = obj.payload.size();
-  return commit(key, obj.kind, {obj.payload.data(), obj.payload.size()},
-                obj.md5_hex, ps);
 }
 
 DurableStore::ObjectRead DurableStore::read_object(
@@ -635,11 +616,6 @@ std::vector<std::string> DurableStore::keys() const {
   out.reserve(index_.size());
   for (const auto& [k, e] : index_) out.push_back(k);
   return out;
-}
-
-std::size_t DurableStore::key_count() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return index_.size();
 }
 
 bool DurableStore::sync() {

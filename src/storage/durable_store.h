@@ -1,6 +1,6 @@
-// DurableStore — the crash-safe on-disk persistence layer under
-// TransparentStore's codec policy (ISSUE 9; the durability substrate the
-// sharded fleet store shards over).
+// DurableStore — the crash-safe on-disk persistence layer (the durability
+// substrate the sharded fleet store shards over). It commits admitted
+// objects; admission and SHUTOFF are the caller's TransparentStore.
 //
 // The paper's deployment keeps hundreds of PB behind blockservers and
 // leans on layered verification (§5.7 round-trip admission, §6.2 error
@@ -79,7 +79,6 @@ struct DurableStoreConfig {
   std::string root;
   FsyncMode fsync = FsyncMode::kAlways;
   std::size_t batch_puts = 16;
-  EncodeOptions encode;  // TransparentStore codec policy
 };
 
 struct DurablePutStats {
@@ -90,7 +89,6 @@ struct DurablePutStats {
   std::string md5_hex;
   std::size_t bytes_stored = 0;
   bool deduplicated = false;  // payload already on disk (content address hit)
-  PutStats codec;             // the TransparentStore §6.2 facts
 };
 
 struct RecoveryReport {
@@ -162,15 +160,10 @@ class DurableStore {
   static std::unique_ptr<DurableStore> open(DurableStoreConfig cfg,
                                             std::string* err);
 
-  // Compress-and-commit: TransparentStore::put picks the storage kind
-  // (Lepton behind the §5.7 round-trip gate, Deflate fallback, shutoff
-  // honored), then the payload is committed via the protocol above.
-  // Returns stats.acknowledged == true only once the commit is durable per
-  // the configured FsyncMode.
-  DurablePutStats put(std::string_view key, std::span<const std::uint8_t> file);
-
-  // Commits a pre-admitted object (e.g. a fleet conversion that already
-  // passed TransparentStore::admit_converted, or a put_passthrough object).
+  // Commits an admitted object (TransparentStore::put, a fleet conversion
+  // that passed TransparentStore::admit_converted, or a put_passthrough
+  // object) via the protocol above. Returns stats.acknowledged == true only
+  // once the commit is durable per the configured FsyncMode.
   DurablePutStats put_object(std::string_view key, const StoredObject& obj);
 
   // Reads the original bytes back: get_object(), then decode_object() on
@@ -200,7 +193,6 @@ class DurableStore {
 
   bool contains(std::string_view key) const;
   std::vector<std::string> keys() const;
-  std::size_t key_count() const;
 
   // Flushes a batched journal (kBatch) to disk now; no-op (true) otherwise.
   // False = the fsync failed: the unsynced records stay pending and the
@@ -216,14 +208,6 @@ class DurableStore {
   void scrub_pass_now();
 
   DurableStoreStats stats() const;
-  const std::string& root() const { return cfg_.root; }
-
-  // The codec-policy layer under this store — exposed so a fleet-fronting
-  // caller can convert remotely against the same admission gate
-  // (FleetClient::put takes the TransparentStore) and so SHUTOFF drills
-  // reach every shard's switch.
-  TransparentStore& codec() { return codec_store_; }
-  const TransparentStore& codec() const { return codec_store_; }
 
   // Offline check of an existing store directory: runs the same recovery
   // pass (sweeping temps, quarantining orphans/corruption) plus a full
@@ -247,9 +231,6 @@ class DurableStore {
   // *bytes and checks its size and md5 against the journal entry.
   ObjectRead read_object(const Entry& e,
                          std::vector<std::uint8_t>* bytes) const;
-  DurablePutStats commit(std::string_view key, StorageKind kind,
-                         std::span<const std::uint8_t> payload,
-                         const std::string& md5_hex, const PutStats& codec);
   bool append_journal_locked(const std::string& record, int* io_err);
   // Moves objects/<aa>/<name> into quarantine/<name>.<seq> with a reason
   // line, probing <seq> past any name an earlier run already used. Never
@@ -274,7 +255,6 @@ class DurableStore {
   void scrub_verify_journal();
 
   DurableStoreConfig cfg_;
-  TransparentStore codec_store_;
   mutable std::mutex mu_;  // index + journal fd + counters
   std::map<std::string, Entry, std::less<>> index_;
   int journal_fd_ = -1;

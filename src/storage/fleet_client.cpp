@@ -360,8 +360,12 @@ RequestTrace FleetClient::convert(FleetOp op,
 FleetClient::PutResult FleetClient::put(const TransparentStore& store,
                                         std::span<const std::uint8_t> jpeg) {
   PutResult pr;
+  if (store.shutoff_active()) {
+    pr.fleet_code = ExitCode::kServerShutdown;
+    pr.object = store.put(jpeg);
+    return pr;
+  }
   RequestTrace tr = convert(FleetOp::kEncode, jpeg);
-  pr.attempts = tr.attempts;
   pr.fleet_code = tr.final_code;
   if (tr.final_code == ExitCode::kSuccess) {
     if (store.admit_converted(jpeg, std::move(tr.data), &pr.object)) {

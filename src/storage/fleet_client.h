@@ -124,9 +124,10 @@ class FleetClient {
 
   struct PutResult {
     StoredObject object;
-    bool passthrough = false;          // degraded to the original bytes
-    util::ExitCode fleet_code = util::ExitCode::kSuccess;  // conversion verdict
-    int attempts = 0;
+    bool passthrough = false;  // degraded to the original bytes
+    // Conversion verdict: kSuccess = the fleet converted and the gate
+    // admitted; kServerShutdown without passthrough = SHUTOFF was engaged.
+    util::ExitCode fleet_code = util::ExitCode::kSuccess;
   };
 
   // The §4 admit path over the fleet: encode remotely, gate through
@@ -134,6 +135,8 @@ class FleetClient {
   // *any* failure — breakers exhausted, retries exhausted, content
   // classification, round-trip mismatch — degrade to
   // store.put_passthrough and tally it. Never errors, never loses a byte.
+  // While store.shutoff_active() (§5.7), the fleet is not contacted: the
+  // file is stored as store.put stores it under SHUTOFF (Deflate).
   PutResult put(const TransparentStore& store,
                 std::span<const std::uint8_t> jpeg);
 

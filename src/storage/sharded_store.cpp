@@ -1,10 +1,25 @@
 #include "storage/sharded_store.h"
 
+#include <filesystem>
 #include <utility>
 
 namespace lepton::storage {
 
-ShardedStore::ShardedStore(ShardedStoreConfig cfg) : cfg_(std::move(cfg)) {
+namespace {
+
+// The path two configs must not share: "d", "d/" and "x/../d" name one
+// root, and so do a symlink and its target once they exist.
+std::filesystem::path canonical_root(const std::string& root) {
+  std::error_code ec;
+  std::filesystem::path p = std::filesystem::weakly_canonical(root, ec);
+  if (ec) p = std::filesystem::path(root).lexically_normal();
+  return p.has_filename() ? p : p.parent_path();
+}
+
+}  // namespace
+
+ShardedStore::ShardedStore(ShardedStoreConfig cfg)
+    : cfg_(std::move(cfg)), codec_(cfg_.encode) {
   if (cfg_.decode_cache_bytes > 0) {
     DecodeCacheConfig cc;
     cc.budget_bytes = cfg_.decode_cache_bytes;
@@ -19,7 +34,6 @@ DurableStoreConfig ShardedStore::shard_store_config(
   DurableStoreConfig dc;
   dc.root = sh.root;
   dc.fsync = cfg_.fsync;
-  dc.encode = cfg_.encode;
   return dc;
 }
 
@@ -41,24 +55,41 @@ std::unique_ptr<ShardedStore> ShardedStore::open(ShardedStoreConfig cfg,
     return nullptr;
   }
   std::unique_ptr<ShardedStore> s(new ShardedStore(std::move(cfg)));
+  // Every identity is checked before any root is opened: recovery on a
+  // root another shard also writes would compact its journal underneath it.
   for (const auto& sh : s->cfg_.shards) {
-    if (sh.name.empty() || s->ring_.contains(sh.name)) {
-      if (err != nullptr) {
-        *err = "shard name empty or duplicated: '" + sh.name + "'";
-      }
+    std::string why = s->identity_conflict(sh);
+    if (!why.empty()) {
+      if (err != nullptr) *err = why;
       return nullptr;
     }
-    auto store = DurableStore::open(s->shard_store_config(sh), err);
-    if (store == nullptr) return nullptr;
     s->ring_.add_shard(sh.name);
     Shard slot;
     slot.cfg = sh;
-    slot.store = std::move(store);
-    slot.fleet = s->make_fleet(sh);
-    slot.alive = true;
     s->shards_.push_back(std::move(slot));
   }
+  for (Shard& slot : s->shards_) {
+    slot.store = DurableStore::open(s->shard_store_config(slot.cfg), err);
+    if (slot.store == nullptr) return nullptr;
+    slot.fleet = s->make_fleet(slot.cfg);
+    slot.alive = true;
+  }
   return s;
+}
+
+std::string ShardedStore::identity_conflict(
+    const ShardBackendConfig& sh) const {
+  if (sh.name.empty() || ring_.contains(sh.name)) {
+    return "shard name empty or duplicated: '" + sh.name + "'";
+  }
+  std::filesystem::path root = canonical_root(sh.root);
+  for (const Shard& other : shards_) {
+    if (canonical_root(other.cfg.root) == root) {
+      return "shard root '" + sh.root + "' is already used by shard '" +
+             other.cfg.name + "'";
+    }
+  }
+  return {};
 }
 
 std::string ShardedStore::cache_key(const std::string& md5_hex,
@@ -70,7 +101,8 @@ std::string ShardedStore::cache_key(const std::string& md5_hex,
 }
 
 std::shared_ptr<DurableStore> ShardedStore::route(std::string_view key,
-                                                  int* sid, bool is_put) {
+                                                  int* sid, bool is_put,
+                                                  FleetClient** fleet) {
   std::lock_guard<std::mutex> lk(mu_);
   int id = ring_.shard_of(key);
   *sid = id;
@@ -80,67 +112,56 @@ std::shared_ptr<DurableStore> ShardedStore::route(std::string_view key,
     ++(is_put ? stats_.puts_unavailable : stats_.gets_unavailable);
     return nullptr;
   }
+  // The client lives as long as the store: shards are never removed.
+  if (fleet != nullptr) *fleet = sh.fleet.get();
   return sh.store;
-}
-
-void ShardedStore::finish_put(const std::string& old_cache_key,
-                              ShardedPutStats* out) {
-  if (out->durable.acknowledged && cache_ != nullptr &&
-      !old_cache_key.empty()) {
-    std::string new_key = cache_key(out->durable.md5_hex, out->durable.kind);
-    if (new_key != old_cache_key) cache_->invalidate(old_cache_key);
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  if (out->durable.acknowledged) {
-    ++stats_.puts_acknowledged;
-  } else {
-    ++stats_.puts_failed;
-  }
-  if (out->remote_converted) ++stats_.remote_conversions;
-  if (out->passthrough) ++stats_.passthrough_fallbacks;
 }
 
 ShardedPutStats ShardedStore::put(std::string_view key,
                                   std::span<const std::uint8_t> file) {
-  ShardedPutStats out;
-  auto store = route(key, &out.shard, /*is_put=*/true);
-  if (store == nullptr) {
-    out.durable.code = util::ExitCode::kServerShutdown;
-    return out;
-  }
-  StorageKind old_kind{};
-  std::string old_md5;
-  bool had_old = store->lookup(key, &old_kind, &old_md5, nullptr);
-  FleetClient* fleet;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    fleet = shards_[static_cast<std::size_t>(out.shard)].fleet.get();
-  }
-  if (fleet != nullptr) {
-    FleetClient::PutResult pr = fleet->put(store->codec(), file);
-    out.remote_converted = !pr.passthrough;
-    out.passthrough = pr.passthrough;
-    out.durable = store->put_object(key, pr.object);
-  } else {
-    out.durable = store->put(key, file);
-  }
-  finish_put(had_old ? cache_key(old_md5, old_kind) : std::string(), &out);
-  return out;
+  return put_routed(key, nullptr, file);
 }
 
 ShardedPutStats ShardedStore::put_object(std::string_view key,
                                          const StoredObject& obj) {
+  return put_routed(key, &obj, {});
+}
+
+ShardedPutStats ShardedStore::put_routed(std::string_view key,
+                                         const StoredObject* obj,
+                                         std::span<const std::uint8_t> file) {
   ShardedPutStats out;
-  auto store = route(key, &out.shard, /*is_put=*/true);
+  FleetClient* fleet = nullptr;
+  auto store = route(key, &out.shard, /*is_put=*/true, &fleet);
   if (store == nullptr) {
     out.durable.code = util::ExitCode::kServerShutdown;
     return out;
   }
+  StoredObject admitted;
+  if (obj == nullptr) {
+    if (fleet != nullptr) {
+      FleetClient::PutResult pr = fleet->put(codec_, file);
+      out.remote_converted = pr.fleet_code == util::ExitCode::kSuccess;
+      out.passthrough = pr.passthrough;
+      admitted = std::move(pr.object);
+    } else {
+      admitted = codec_.put(file);
+    }
+    obj = &admitted;
+  }
   StorageKind old_kind{};
   std::string old_md5;
   bool had_old = store->lookup(key, &old_kind, &old_md5, nullptr);
-  out.durable = store->put_object(key, obj);
-  finish_put(had_old ? cache_key(old_md5, old_kind) : std::string(), &out);
+  out.durable = store->put_object(key, *obj);
+  // After an acknowledged overwrite, drop the old payload's cache entry.
+  if (out.durable.acknowledged && cache_ != nullptr && had_old &&
+      (old_md5 != out.durable.md5_hex || old_kind != out.durable.kind)) {
+    cache_->invalidate(cache_key(old_md5, old_kind));
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  ++(out.durable.acknowledged ? stats_.puts_acknowledged : stats_.puts_failed);
+  if (out.remote_converted) ++stats_.remote_conversions;
+  if (out.passthrough) ++stats_.passthrough_fallbacks;
   return out;
 }
 
@@ -291,7 +312,6 @@ bool ShardedStore::restart_shard(int shard, std::string* err) {
   std::lock_guard<std::mutex> lk(mu_);
   Shard& sh = shards_[static_cast<std::size_t>(shard)];
   if (sh.alive) return true;  // lost a restart race; drop our copy
-  store->codec().set_shutoff(shutoff_);
   sh.store = std::move(store);
   sh.alive = true;
   ++stats_.shard_restarts;
@@ -299,40 +319,49 @@ bool ShardedStore::restart_shard(int shard, std::string* err) {
 }
 
 bool ShardedStore::add_shard(ShardBackendConfig shard, std::string* err) {
-  auto store = DurableStore::open(shard_store_config(shard), err);
-  if (store == nullptr) return false;
+  // Held throughout: no shard may die, restart or join while the ring
+  // grows and the remapped keys move.
   std::lock_guard<std::mutex> lk(mu_);
-  if (shard.name.empty() || ring_.contains(shard.name)) {
-    if (err != nullptr) {
-      *err = "shard name empty or duplicated: '" + shard.name + "'";
+  // A dead shard's keys cannot be moved, and after the add the ring would
+  // route its remapped keys away from the only copy.
+  std::string why;
+  for (std::size_t i = 0; i < shards_.size() && why.empty(); ++i) {
+    if (!shards_[i].alive) {
+      why = "restart shard " + std::to_string(i) + " first";
     }
+  }
+  if (why.empty()) why = identity_conflict(shard);
+  if (!why.empty()) {
+    if (err != nullptr) *err = why;
     return false;
   }
+  auto store = DurableStore::open(shard_store_config(shard), err);
+  if (store == nullptr) return false;
+  const HashRing before = ring_;
   int id = ring_.add_shard(shard.name);
   // Migrate exactly the keys whose ring owner changed — by construction of
-  // the ring these all now map to the new shard, so a single membership
-  // test per key finds them. Objects move at rest (no decode); the source
-  // copy stays behind as an inert shadow the ring no longer routes to.
-  for (auto& old : shards_) {
-    if (!old.alive) continue;  // a dead shard's keys surface after restart
-    for (const std::string& key : old.store->keys()) {
-      if (ring_.shard_of(key) != id) continue;
-      StoredObject obj;
-      util::ExitCode code = util::ExitCode::kSuccess;
-      if (!old.store->get_object(key, &obj, &code) ||
-          code != util::ExitCode::kSuccess) {
-        ++stats_.migrate_read_errors;
+  // the ring these all now map to the new shard — each from its owner
+  // before the add, which holds the current version. Objects move at rest
+  // (no decode); the source copy stays behind as an inert shadow the ring
+  // no longer routes to, and shadows are never copied.
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    DurableStore& src = *shards_[i].store;
+    for (const std::string& key : src.keys()) {
+      if (ring_.shard_of(key) != id ||
+          before.shard_of(key) != static_cast<int>(i)) {
         continue;
       }
-      DurablePutStats dps = store->put_object(key, obj);
-      if (!dps.acknowledged) {
+      StoredObject obj;
+      util::ExitCode code = util::ExitCode::kSuccess;
+      if (!src.get_object(key, &obj, &code) ||
+          code != util::ExitCode::kSuccess ||
+          !store->put_object(key, obj).acknowledged) {
         ++stats_.migrate_read_errors;
         continue;
       }
       ++stats_.migrated_objects;
     }
   }
-  store->codec().set_shutoff(shutoff_);
   Shard slot;
   slot.cfg = std::move(shard);
   slot.store = std::move(store);
@@ -343,15 +372,13 @@ bool ShardedStore::add_shard(ShardBackendConfig shard, std::string* err) {
 }
 
 void ShardedStore::set_shutoff(bool on) {
+  codec_.set_shutoff(on);
+  if (!on) return;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    shutoff_ = on;
-    for (Shard& sh : shards_) {
-      if (sh.alive) sh.store->codec().set_shutoff(on);
-    }
-    if (on) ++stats_.shutoff_drills;
+    ++stats_.shutoff_drills;
   }
-  if (on && cache_ != nullptr) cache_->invalidate_all();
+  if (cache_ != nullptr) cache_->invalidate_all();
 }
 
 bool ShardedStore::sync() {

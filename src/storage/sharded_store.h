@@ -7,14 +7,14 @@
 // outputs in a bounded LRU (decode_cache.h) so Zipf-skewed read traffic
 // does not pay a full Lepton decode per read.
 //
-// Topology: every shard owns a DurableStore root. A shard may additionally
-// name `leptond` endpoints — conversions for keys on that shard then go
-// through the self-healing FleetClient (breakers, backoff, least-in-flight
-// routing all reused from PR 8) against the shard's own §5.7 admission
-// gate, and the admitted object is committed locally via put_object(). A
-// fleet that cannot convert degrades that put to pass-through, never to an
-// error: availability is per-key and durability is never gated on the
-// fleet.
+// Topology: every shard owns a DurableStore root; one TransparentStore
+// (the §5.7 gate and SHUTOFF switch) admits for all of them. A shard may
+// additionally name `leptond` endpoints — put() then converts through the
+// self-healing FleetClient (breakers, backoff, least-in-flight routing)
+// against that gate instead of encoding locally, and commits like
+// put_object(). A fleet that cannot convert degrades that put
+// to pass-through, never to an error: availability is per-key and
+// durability is never gated on the fleet.
 //
 // Failure semantics:
 //   * shard loss (kill_shard, or a crashed backend) degrades PER-KEY:
@@ -24,9 +24,9 @@
 //   * restart_shard() reopens the root through full DurableStore recovery,
 //     so every previously acknowledged key on that shard must come back
 //     byte-identical (the replay driver and tests assert exactly this);
-//   * membership growth (add_shard) migrates exactly the keys whose ring
-//     owner changed — the objects move at rest (get_object/put_object, no
-//     decode), expected fraction ≈ 1/(N+1) of the keyspace.
+//   * membership growth (add_shard) copies each key whose ring owner
+//     changed once, from its previous owner, at rest (get_object/put_object,
+//     no decode), expected fraction ≈ 1/(N+1) of the keyspace.
 //
 // Decode-cache coherence: entries are keyed by content address
 // (payload md5 + storage kind — the kind is part of the key because one
@@ -38,8 +38,8 @@
 // never be wrong. Overwrites additionally invalidate the old payload's
 // entry, and a SHUTOFF drill clears the cache (see decode_cache.h).
 //
-// SHUTOFF is a fleet-wide state: the switch set by set_shutoff() is applied
-// to every backend the store opens later (restart_shard, add_shard) too.
+// SHUTOFF is one switch: every shard, restarted, added or fleet-backed,
+// admits through the TransparentStore that set_shutoff() flips.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,7 @@ struct ShardBackendConfig {
   std::string name;  // ring identity; must be unique and stable
   std::string root;  // DurableStore root directory
   // Optional leptond endpoints ("unix:/path" | "tcp:host:port"): when
-  // non-empty, put() converts through a FleetClient against this shard's
+  // non-empty, put() converts through a FleetClient against the store's
   // admission gate instead of encoding locally.
   std::vector<std::string> endpoints;
 };
@@ -117,11 +117,11 @@ class ShardedStore {
   ShardedStore& operator=(const ShardedStore&) = delete;
 
   // Opens every shard root (running each one's recovery). nullptr with
-  // *err set if any shard fails to open or a name is duplicated.
+  // *err set if any shard fails to open or shares a name or root.
   static std::unique_ptr<ShardedStore> open(ShardedStoreConfig cfg,
                                             std::string* err);
 
-  // Routes by ring, converts (locally or via the shard's fleet), commits.
+  // Routes by ring, admits once (locally or via the shard's fleet), commits.
   // A dead shard yields durable.code == kServerShutdown, acknowledged ==
   // false — unavailable, not lost.
   ShardedPutStats put(std::string_view key, std::span<const std::uint8_t> file);
@@ -150,13 +150,14 @@ class ShardedStore {
 
   // Membership growth with minimal-remap migration: opens the new backend,
   // adds it to the ring, and moves exactly the objects whose owner changed
-  // (at rest — no decode). False with *err on open failure; migration read
-  // errors are tallied, never silent.
+  // (at rest — no decode). False with *err while a shard is down, on a
+  // taken name or root, or on open failure; migration read errors are
+  // tallied, never silent.
   bool add_shard(ShardBackendConfig shard, std::string* err);
 
-  // §5.7 SHUTOFF drill across the fleet: flips every live shard's codec
-  // switch, remembers the state for backends opened later, and (on engage)
-  // clears the decode cache so the drill observes the real uncached path.
+  // §5.7 SHUTOFF drill across the fleet: flips the one codec switch and
+  // (on engage) clears the decode cache so the drill observes the real
+  // uncached path.
   void set_shutoff(bool on);
 
   // Journal group-commit barrier on every live shard.
@@ -184,22 +185,26 @@ class ShardedStore {
 
   DurableStoreConfig shard_store_config(const ShardBackendConfig& sh) const;
   std::unique_ptr<FleetClient> make_fleet(const ShardBackendConfig& sh) const;
-  // Routes a key; fills *sid and returns the backend handle, or nullptr
-  // when the owning shard is down (never when the ring is merely empty —
-  // open() guarantees ≥1 shard).
+  // Why `sh` may not join (empty or taken name, or a taken root), or "".
+  // Call with mu_ held, or before the store is shared.
+  std::string identity_conflict(const ShardBackendConfig& sh) const;
+  // Routes a key; fills *sid (and *fleet) and returns the backend handle,
+  // or nullptr when the owning shard is down (never when the ring is
+  // merely empty — open() guarantees ≥1 shard).
   std::shared_ptr<DurableStore> route(std::string_view key, int* sid,
-                                      bool is_put);
+                                      bool is_put,
+                                      FleetClient** fleet = nullptr);
+  // The one put path: routes, admits `file` unless `obj` is given, commits.
+  ShardedPutStats put_routed(std::string_view key, const StoredObject* obj,
+                             std::span<const std::uint8_t> file);
   static std::string cache_key(const std::string& md5_hex, StorageKind kind);
-  // Counts the put and, after an acknowledged overwrite, drops the old
-  // payload's cache entry (`old_cache_key` empty = the key was new).
-  void finish_put(const std::string& old_cache_key, ShardedPutStats* out);
 
   ShardedStoreConfig cfg_;
+  TransparentStore codec_;  // the one admission gate and SHUTOFF switch
   HashRing ring_;
   std::unique_ptr<DecodeCache> cache_;
   mutable std::mutex mu_;  // shards_ + counters (ring is write-locked too)
   std::vector<Shard> shards_;
-  bool shutoff_ = false;  // applied to every backend opened (set_shutoff)
   ShardedStoreStats stats_;
 };
 

@@ -490,6 +490,29 @@ TEST_F(FaultTest, PutDegradesToByteIdenticalPassthrough) {
   srv.stop();
 }
 
+TEST_F(FaultTest, PutUnderShutoffSkipsTheFleet) {
+  // §5.7 SHUTOFF stops compression at the gate the put admits through: a
+  // healthy fleet is not asked to convert, and the file is stored Deflate.
+  lepton::CodecContext ctx(2);
+  EventServer srv = make_tcp_server(&ctx);
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+  std::vector<std::uint8_t> jpeg = lepton::corpus::jpeg_of_size(24 << 10, 19);
+  lepton::TransparentStore store;
+  store.set_shutoff(true);
+
+  FleetClient fc(client_cfg(srv.bound_address()));
+  auto pr = fc.put(store, jpeg);
+  EXPECT_FALSE(pr.passthrough);
+  EXPECT_EQ(pr.fleet_code, ExitCode::kServerShutdown);
+  EXPECT_EQ(pr.object.kind, lepton::StorageKind::kDeflate);
+  EXPECT_EQ(fc.metrics().requests, 0u);
+  EXPECT_EQ(fc.metrics().passthrough_fallbacks, 0u);
+  lepton::Result got = store.get(pr.object);
+  ASSERT_EQ(got.code, ExitCode::kSuccess);
+  EXPECT_EQ(got.data, jpeg);
+  srv.stop();
+}
+
 TEST_F(FaultTest, AdmitConvertedRejectsACorruptContainer) {
   std::vector<std::uint8_t> jpeg = lepton::corpus::jpeg_of_size(24 << 10, 13);
   lepton::Result enc = lepton::encode_jpeg(jpeg);

@@ -5,7 +5,8 @@
 // overwrites and a shard kill/restart, the decode-cache invariants
 // (byte-identity, budget under concurrency, overwrite/SHUTOFF coherence,
 // no poisoning by a racing overwrite, counter reconciliation), SHUTOFF
-// across restarts and growth, and the per-shard fleet conversion path.
+// across restarts, growth and fleet shards, the growth and shard-identity
+// preconditions, and the per-shard fleet conversion path.
 // hash_ring.h states the invariants; this file is where they are pinned
 // down.
 #include <gtest/gtest.h>
@@ -305,6 +306,7 @@ TEST(ShardedStore, DifferentialVsSingleStoreThroughKillAndRestart) {
   mono_cfg.fsync = ls::FsyncMode::kNone;
   auto mono = ls::DurableStore::open(mono_cfg, &err);
   ASSERT_NE(mono, nullptr) << err;
+  lepton::TransparentStore mono_codec;
 
   // Content pool: puts draw from 12 distinct JPEGs so overwrites actually
   // change bytes and dedup paths get exercised.
@@ -339,7 +341,7 @@ TEST(ShardedStore, DifferentialVsSingleStoreThroughKillAndRestart) {
       if (ps.durable.acknowledged) {
         model[key] = content;
         ASSERT_TRUE(
-            mono->put(key, {content.data(), content.size()}).acknowledged);
+            mono->put_object(key, mono_codec.put(content)).acknowledged);
       } else {
         // Only a dead shard may refuse, and it must say so.
         EXPECT_EQ(ps.shard, killed);
@@ -455,6 +457,159 @@ TEST(ShardedStore, AddShardMigratesExactlyTheRemappedKeys) {
   EXPECT_EQ(st.migrated_objects, static_cast<std::uint64_t>(moved));
   EXPECT_EQ(st.migrate_read_errors, 0u);
   EXPECT_GT(moved, 0) << "a 3->4 growth that migrates nothing is broken";
+}
+
+// A key owned by `shard`, for tests that must land a put on one shard.
+std::string key_on_shard(const ls::ShardedStore& s, int shard,
+                         const std::string& prefix) {
+  for (int i = 0;; ++i) {
+    std::string key = prefix + std::to_string(i);
+    if (s.shard_of(key) == shard) return key;
+  }
+}
+
+// Puts one key on `shard`, bounces the shard through kill + recovery, and
+// expects the acknowledged bytes back.
+void expect_put_survives_restart(ls::ShardedStore& s, int shard,
+                                 const std::string& prefix) {
+  std::vector<std::uint8_t> jpeg = test_jpeg(260, 9 << 10);
+  std::string key = key_on_shard(s, shard, prefix);
+  ASSERT_TRUE(s.put(key, {jpeg.data(), jpeg.size()}).durable.acknowledged);
+  ASSERT_TRUE(s.kill_shard(shard));
+  std::string err;
+  ASSERT_TRUE(s.restart_shard(shard, &err)) << err;
+  lepton::Result r;
+  ASSERT_TRUE(s.get(key, &r)) << "acknowledged put lost across restart";
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(r.data, jpeg);
+}
+
+TEST(ShardedStore, AddShardRefusesALiveShardsConfigWithoutTouchingIt) {
+  // A refused add must not have opened the live shard's root: recovery
+  // there would compact the journal out from under the live handle, and
+  // the next acknowledged put would vanish at the next restart.
+  ls::ShardedStoreConfig cfg = sharded_config("dup_add", 2, 0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  EXPECT_FALSE(s->add_shard(cfg.shards[0], &err));
+  EXPECT_EQ(s->shard_count(), 2u);
+  expect_put_survives_restart(*s, 0, "dup-add-");
+}
+
+TEST(ShardedStore, AddShardRefusesALiveShardsRoot) {
+  ls::ShardedStoreConfig cfg = sharded_config("root_add", 2, 0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  ls::ShardBackendConfig alias;
+  alias.name = "shard-alias";
+  alias.root = cfg.shards[0].root + "/";  // the same directory, spelled apart
+  EXPECT_FALSE(s->add_shard(alias, &err)) << "two shards on one root";
+  EXPECT_NE(err.find("already used by shard 'shard-0'"), std::string::npos)
+      << err;
+  EXPECT_EQ(s->shard_count(), 2u);
+  expect_put_survives_restart(*s, 0, "root-add-");
+}
+
+TEST(ShardedStore, OpenRefusesTwoShardsOnOneRoot) {
+  ls::ShardedStoreConfig cfg = sharded_config("root_open", 2, 0);
+  cfg.shards[1].root = cfg.shards[0].root;
+  std::string err;
+  EXPECT_EQ(ls::ShardedStore::open(cfg, &err), nullptr)
+      << "two shards on one root";
+  EXPECT_NE(err.find("already used"), std::string::npos) << err;
+}
+
+TEST(ShardedStore, AddShardRefusedWhileAShardIsDown) {
+  // The down shard's keys cannot move, and after the add the ring would
+  // route its remapped keys away from the only copy.
+  ls::ShardedStoreConfig cfg = sharded_config("grow_down", 3, 0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  std::vector<std::uint8_t> jpeg = test_jpeg(270, 9 << 10);
+  std::vector<std::string> keys;
+  for (int k = 0; k < 60; ++k) {
+    keys.push_back("d" + std::to_string(k));
+    ASSERT_TRUE(
+        s->put(keys.back(), {jpeg.data(), jpeg.size()}).durable.acknowledged);
+  }
+  ASSERT_TRUE(s->kill_shard(1));
+  ls::ShardBackendConfig fresh;
+  fresh.name = "shard-new";
+  fresh.root = fresh_root("grow_down_new");
+  EXPECT_FALSE(s->add_shard(fresh, &err));
+  EXPECT_EQ(err, "restart shard 1 first");
+  EXPECT_EQ(s->shard_count(), 3u);
+
+  ASSERT_TRUE(s->restart_shard(1, &err)) << err;
+  ASSERT_TRUE(s->add_shard(fresh, &err)) << err;
+  for (const std::string& key : keys) {
+    lepton::Result r;
+    ASSERT_TRUE(s->get(key, &r)) << key;
+    ASSERT_TRUE(r.ok()) << key << ": " << r.message;
+    EXPECT_EQ(r.data, jpeg) << key;
+  }
+}
+
+TEST(ShardedStore, SecondGrowthCopiesEachRemappedKeyOnceAndCurrent) {
+  // The first growth leaves inert shadow copies on the old owners. After
+  // the moved keys are overwritten, a second growth must copy each
+  // remapped key once, from its owner — never a stale shadow.
+  ls::ShardedStoreConfig cfg = sharded_config("grow_twice", 3, 0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+  lepton::TransparentStore codec;
+  std::vector<std::vector<std::uint8_t>> v1, v2;
+  std::vector<lepton::StoredObject> o1, o2;
+  for (int i = 0; i < 4; ++i) {
+    v1.push_back(test_jpeg(280 + i, 6 << 10));
+    v2.push_back(test_jpeg(290 + i, 6 << 10));
+    o1.push_back(codec.put(v1.back()));
+    o2.push_back(codec.put(v2.back()));
+  }
+  const int kKeys = 240;
+  std::map<std::string, const std::vector<std::uint8_t>*> model;
+  for (int k = 0; k < kKeys; ++k) {
+    std::string key = "t" + std::to_string(k);
+    ASSERT_TRUE(s->put_object(key, o1[k % 4]).durable.acknowledged);
+    model[key] = &v1[k % 4];
+  }
+  ls::ShardBackendConfig c;
+  c.name = "shard-c";
+  c.root = fresh_root("grow_twice_c");
+  ASSERT_TRUE(s->add_shard(c, &err)) << err;
+  int overwritten = 0;
+  for (auto& [key, content] : model) {
+    if (s->shard_of(key) != 3) continue;
+    int v = std::stoi(key.substr(1)) % 4;
+    ASSERT_TRUE(s->put_object(key, o2[v]).durable.acknowledged);
+    content = &v2[v];
+    ++overwritten;
+  }
+  ASSERT_GT(overwritten, 0);
+
+  std::map<std::string, int> before;
+  for (const auto& [key, _] : model) before[key] = s->shard_of(key);
+  std::uint64_t migrated_before = s->stats().migrated_objects;
+  ls::ShardBackendConfig d;
+  d.name = "shard-d";
+  d.root = fresh_root("grow_twice_d");
+  ASSERT_TRUE(s->add_shard(d, &err)) << err;
+  std::uint64_t remapped = 0;
+  for (const auto& [key, content] : model) {
+    if (s->shard_of(key) != before[key]) ++remapped;
+    lepton::Result r;
+    ASSERT_TRUE(s->get(key, &r)) << key;
+    ASSERT_TRUE(r.ok()) << key << ": " << r.message;
+    EXPECT_EQ(r.data, *content) << key << " reads an older version";
+  }
+  EXPECT_GT(remapped, 0u);
+  EXPECT_EQ(s->stats().migrated_objects - migrated_before, remapped)
+      << "a remapped key was copied more than once";
+  EXPECT_EQ(s->stats().migrate_read_errors, 0u);
 }
 
 // ---- decode cache: unit invariants ------------------------------------------
@@ -686,15 +841,6 @@ TEST(ShardedStore, OverwriteRaceCannotPoisonCache) {
   EXPECT_EQ(k_wrong.load(), 0u) << "a read of k returned neither version";
 }
 
-// A key owned by `shard`, for tests that must land a put on one shard.
-std::string key_on_shard(const ls::ShardedStore& s, int shard,
-                         const std::string& prefix) {
-  for (int i = 0;; ++i) {
-    std::string key = prefix + std::to_string(i);
-    if (s.shard_of(key) == shard) return key;
-  }
-}
-
 TEST(ShardedStore, ShutoffStaysEngagedAcrossRestartAndAddShard) {
   // SHUTOFF is fleet state, not a property of whichever backends happened
   // to be open when it was flipped: a restarted shard and a newly added one
@@ -797,6 +943,42 @@ TEST(ShardedStore, FleetShardConvertsRemotelyThenDegradesToPassthrough) {
   EXPECT_EQ(st.remote_conversions, static_cast<std::uint64_t>(kEach));
   EXPECT_EQ(st.passthrough_fallbacks, static_cast<std::uint64_t>(kEach));
   EXPECT_EQ(st.puts_acknowledged, static_cast<std::uint64_t>(3 * kEach));
+}
+
+TEST(ShardedStore, FleetShardHonorsShutoff) {
+  // SHUTOFF is one switch for every shard: a shard that names a live
+  // leptond must store Deflate without sending the fleet a request.
+  lepton::leptond::EventServerConfig ec;
+  ec.listen = "tcp:127.0.0.1:0";
+  ec.workers = 2;
+  lepton::leptond::EventServer srv(std::move(ec));
+  ASSERT_TRUE(srv.start()) << srv.last_error();
+
+  ls::ShardedStoreConfig cfg = sharded_config("fleet_shutoff", 2, 0);
+  cfg.shards[0].endpoints = {srv.bound_address()};
+  cfg.fleet.first_deadline = std::chrono::milliseconds(0);
+  std::string err;
+  auto s = ls::ShardedStore::open(cfg, &err);
+  ASSERT_NE(s, nullptr) << err;
+
+  s->set_shutoff(true);
+  std::uint64_t requests = srv.stats().requests;
+  std::vector<std::uint8_t> jpeg = test_jpeg(460, 10 << 10);
+  std::string key = key_on_shard(*s, 0, "shutoff-fleet-");
+  ls::ShardedPutStats ps = s->put(key, {jpeg.data(), jpeg.size()});
+  ASSERT_TRUE(ps.durable.acknowledged);
+  EXPECT_EQ(ps.durable.kind, lepton::StorageKind::kDeflate);
+  EXPECT_FALSE(ps.remote_converted);
+  EXPECT_FALSE(ps.passthrough);
+  EXPECT_EQ(srv.stats().requests, requests) << "SHUTOFF still called the fleet";
+  lepton::Result r;
+  ASSERT_TRUE(s->get(key, &r));
+  ASSERT_TRUE(r.ok()) << r.message;
+  EXPECT_EQ(r.data, jpeg);
+  ls::ShardedStoreStats st = s->stats();
+  EXPECT_EQ(st.remote_conversions, 0u);
+  EXPECT_EQ(st.passthrough_fallbacks, 0u);
+  srv.stop();
 }
 
 // ---- decode cache: the serving daemon's DECODE path -------------------------

@@ -277,6 +277,13 @@ std::vector<std::uint8_t> test_jpeg(std::uint64_t seed) {
   return lepton::corpus::jpeg_of_size(20 << 10, seed);
 }
 
+// The single-node composition: TransparentStore admits, DurableStore
+// commits.
+lepton::StoredObject admit(const std::vector<std::uint8_t>& file) {
+  static const lepton::TransparentStore codec;
+  return codec.put(file);
+}
+
 std::unique_ptr<ls::DurableStore> open_store(const std::string& root) {
   ls::DurableStoreConfig cfg;
   cfg.root = root;
@@ -292,7 +299,7 @@ TEST(DurableStore, PutGetRoundTripAndPersistsAcrossReopen) {
   std::vector<std::uint8_t> jpeg = test_jpeg(1);
   {
     auto s = open_store(root);
-    ls::DurablePutStats ps = s->put("photos/a.jpg", {jpeg.data(), jpeg.size()});
+    ls::DurablePutStats ps = s->put_object("photos/a.jpg", admit(jpeg));
     ASSERT_TRUE(ps.acknowledged);
     EXPECT_EQ(ps.code, ExitCode::kSuccess);
     lepton::Result r;
@@ -313,8 +320,8 @@ TEST(DurableStore, PutGetRoundTripAndPersistsAcrossReopen) {
 TEST(DurableStore, DedupsIdenticalContentAcrossKeys) {
   auto s = open_store(fresh_root("dedup"));
   std::vector<std::uint8_t> jpeg = test_jpeg(2);
-  ASSERT_TRUE(s->put("a", {jpeg.data(), jpeg.size()}).acknowledged);
-  ls::DurablePutStats second = s->put("b", {jpeg.data(), jpeg.size()});
+  ASSERT_TRUE(s->put_object("a", admit(jpeg)).acknowledged);
+  ls::DurablePutStats second = s->put_object("b", admit(jpeg));
   ASSERT_TRUE(second.acknowledged);
   EXPECT_TRUE(second.deduplicated);
   EXPECT_EQ(s->stats().puts_deduplicated, 1u);
@@ -331,7 +338,7 @@ TEST(DurableStore, KeysWithSpacesAndControlBytesSurviveTheJournal) {
   std::vector<std::uint8_t> jpeg = test_jpeg(3);
   {
     auto s = open_store(root);
-    ASSERT_TRUE(s->put(key, {jpeg.data(), jpeg.size()}).acknowledged);
+    ASSERT_TRUE(s->put_object(key, admit(jpeg)).acknowledged);
   }
   auto s = open_store(root);
   lepton::Result r;
@@ -365,10 +372,10 @@ TEST(DurableStore, RecoveryMatrixFailedCommitNeverHalfServes) {
     ++idx;
     {
       auto s = open_store(root);
-      ASSERT_TRUE(s->put("prior", {prior.data(), prior.size()}).acknowledged);
+      ASSERT_TRUE(s->put_object("prior", admit(prior)).acknowledged);
       FailpointGuard fp;
       ASSERT_TRUE(fp.arm(c.spec));
-      ls::DurablePutStats ps = s->put("doomed", {doomed.data(), doomed.size()});
+      ls::DurablePutStats ps = s->put_object("doomed", admit(doomed));
       EXPECT_FALSE(ps.acknowledged);
       EXPECT_TRUE(ps.code == ExitCode::kDiskFull || ps.code == ExitCode::kIoError)
           << "failed commit classified " << static_cast<int>(ps.code);
@@ -413,7 +420,7 @@ TEST(DurableStore, OrphanedObjectIsQuarantinedNotDeleted) {
     // Object commit path untouched; only the journal append (the write
     // AFTER rename) fails.
     ASSERT_TRUE(fp.arm("fs.write=err:EIO@every2"));
-    ls::DurablePutStats ps = s->put("doomed", {doomed.data(), doomed.size()});
+    ls::DurablePutStats ps = s->put_object("doomed", admit(doomed));
     EXPECT_FALSE(ps.acknowledged);
     EXPECT_EQ(ps.code, ExitCode::kIoError);
     payload_md5 = ps.md5_hex;  // the object's content address
@@ -442,10 +449,10 @@ TEST(DurableStore, SupersededVersionIsNotAnOrphan) {
   std::string md5_v1;
   {
     auto s = open_store(root);
-    ls::DurablePutStats ps = s->put("k", {v1.data(), v1.size()});
+    ls::DurablePutStats ps = s->put_object("k", admit(v1));
     ASSERT_TRUE(ps.acknowledged);
     md5_v1 = ps.md5_hex;
-    ASSERT_TRUE(s->put("k", {v2.data(), v2.size()}).acknowledged);
+    ASSERT_TRUE(s->put_object("k", admit(v2)).acknowledged);
   }
   std::string err;
   ls::FsckReport rep = ls::DurableStore::fsck(root, &err);
@@ -482,8 +489,8 @@ TEST(DurableStore, TornJournalTailDropsOnlyTheTornRecord) {
   std::vector<std::uint8_t> kept = test_jpeg(21), torn = test_jpeg(30);
   {
     auto s = open_store(root);
-    ASSERT_TRUE(s->put("kept", {kept.data(), kept.size()}).acknowledged);
-    ASSERT_TRUE(s->put("torn", {torn.data(), torn.size()}).acknowledged);
+    ASSERT_TRUE(s->put_object("kept", admit(kept)).acknowledged);
+    ASSERT_TRUE(s->put_object("torn", admit(torn)).acknowledged);
   }
   {
     // Tear the journal the way a crash mid-append would: cut into the last
@@ -516,7 +523,7 @@ TEST(DurableStore, FailedPutLeavesNoTempLitter) {
   std::vector<std::uint8_t> jpeg = test_jpeg(22);
   FailpointGuard fp;
   ASSERT_TRUE(fp.arm("fs.rename=err:ENOSPC@once"));
-  ls::DurablePutStats ps = s->put("doomed", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("doomed", admit(jpeg));
   EXPECT_FALSE(ps.acknowledged);
   EXPECT_EQ(ps.code, ExitCode::kDiskFull);
   EXPECT_EQ(s->stats().puts_failed_disk_full, 1u);
@@ -535,7 +542,7 @@ TEST(DurableStore, ScrubberDetectsPayloadBitFlip) {
   std::string root = fresh_root("scrubflip");
   std::vector<std::uint8_t> jpeg = test_jpeg(23);
   auto s = open_store(root);
-  ls::DurablePutStats ps = s->put("victim", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("victim", admit(jpeg));
   ASSERT_TRUE(ps.acknowledged);
   {
     std::string path = root + "/objects/" + ps.md5_hex.substr(0, 2) + "/" +
@@ -565,7 +572,7 @@ TEST(DurableStore, ScrubberDetectsJournalBitFlip) {
   std::string root = fresh_root("scrubjournal");
   std::vector<std::uint8_t> jpeg = test_jpeg(24);
   auto s = open_store(root);
-  ASSERT_TRUE(s->put("victim", {jpeg.data(), jpeg.size()}).acknowledged);
+  ASSERT_TRUE(s->put_object("victim", admit(jpeg)).acknowledged);
   {
     std::string jpath = root + "/journal";
     std::vector<std::uint8_t> j;
@@ -583,7 +590,7 @@ TEST(DurableStore, ScrubberDetectsJournalBitFlip) {
 TEST(DurableStore, BackgroundScrubberRunsPassesAndStopsCleanly) {
   auto s = open_store(fresh_root("scrubthread"));
   std::vector<std::uint8_t> jpeg = test_jpeg(25);
-  ASSERT_TRUE(s->put("a", {jpeg.data(), jpeg.size()}).acknowledged);
+  ASSERT_TRUE(s->put_object("a", admit(jpeg)).acknowledged);
   ls::ScrubberConfig sc;
   sc.rate_limit_bytes_per_s = 0;  // unthrottled for the test
   sc.pass_interval = std::chrono::milliseconds(1);
@@ -604,7 +611,7 @@ TEST(DurableStore, GetQuarantinesCorruptObjectInsteadOfServingIt) {
   std::string root = fresh_root("getcorrupt");
   std::vector<std::uint8_t> jpeg = test_jpeg(26);
   auto s = open_store(root);
-  ls::DurablePutStats ps = s->put("victim", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("victim", admit(jpeg));
   ASSERT_TRUE(ps.acknowledged);
   {
     std::string path = root + "/objects/" + ps.md5_hex.substr(0, 2) + "/" +
@@ -640,8 +647,8 @@ TEST(DurableStore, FsckClassifiesHealthyTornAndLost) {
   std::string md5_b;
   {
     auto s = open_store(root);
-    ASSERT_TRUE(s->put("a", {a.data(), a.size()}).acknowledged);
-    ls::DurablePutStats ps = s->put("b", {b.data(), b.size()});
+    ASSERT_TRUE(s->put_object("a", admit(a)).acknowledged);
+    ls::DurablePutStats ps = s->put_object("b", admit(b));
     ASSERT_TRUE(ps.acknowledged);
     md5_b = ps.md5_hex;
   }
@@ -685,7 +692,7 @@ TEST(DurableStore, GetReadFailureIsRetryableNotQuarantined) {
   std::string root = fresh_root("getreaderr");
   std::vector<std::uint8_t> jpeg = test_jpeg(29);
   auto s = open_store(root);
-  ls::DurablePutStats ps = s->put("victim", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("victim", admit(jpeg));
   ASSERT_TRUE(ps.acknowledged);
   std::string path = root + "/objects/" + ps.md5_hex.substr(0, 2) + "/" +
                      ps.md5_hex;
@@ -717,7 +724,7 @@ TEST(DurableStore, ScrubReadFailureIsNotCorruption) {
   std::string root = fresh_root("scrubreaderr");
   std::vector<std::uint8_t> jpeg = test_jpeg(30);
   auto s = open_store(root);
-  ls::DurablePutStats ps = s->put("victim", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("victim", admit(jpeg));
   ASSERT_TRUE(ps.acknowledged);
   std::string path = root + "/objects/" + ps.md5_hex.substr(0, 2) + "/" +
                      ps.md5_hex;
@@ -752,7 +759,7 @@ TEST(DurableStore, QuarantineNamesNeverClobberAcrossReopens) {
   std::string md5;
   auto corrupt_and_get = [&](ls::DurableStore* s, const char* key,
                              std::uint8_t flip) {
-    ls::DurablePutStats ps = s->put(key, {jpeg.data(), jpeg.size()});
+    ls::DurablePutStats ps = s->put_object(key, admit(jpeg));
     ASSERT_TRUE(ps.acknowledged);
     md5 = ps.md5_hex;
     std::string path = root + "/objects/" + md5.substr(0, 2) + "/" + md5;
@@ -801,7 +808,7 @@ TEST(DurableStore, SyncSurfacesFsyncFailureAndRetries) {
   auto s = ls::DurableStore::open(std::move(cfg), &err);
   ASSERT_NE(s, nullptr) << err;
   std::vector<std::uint8_t> jpeg = test_jpeg(32);
-  ASSERT_TRUE(s->put("a", {jpeg.data(), jpeg.size()}).acknowledged);
+  ASSERT_TRUE(s->put_object("a", admit(jpeg)).acknowledged);
   FailpointGuard fp;
   ASSERT_TRUE(fp.arm("fs.fsync=err:EIO@once"));
   EXPECT_FALSE(s->sync());  // injected barrier failure is reported
@@ -821,9 +828,9 @@ TEST(DurableStore, GetRacesBackgroundScrubberCleanly) {
   std::vector<std::vector<std::uint8_t>> content;
   for (int k = 0; k < kKeys; ++k) {
     content.push_back(test_jpeg(40 + static_cast<std::uint64_t>(k)));
-    ASSERT_TRUE(s->put("race" + std::to_string(k),
-                       {content[k].data(), content[k].size()})
-                    .acknowledged);
+    ASSERT_TRUE(
+        s->put_object("race" + std::to_string(k), admit(content[k]))
+            .acknowledged);
   }
   ls::ScrubberConfig sc;
   sc.rate_limit_bytes_per_s = 0;
@@ -849,7 +856,7 @@ TEST(DurableStore, GetRacesBackgroundScrubberCleanly) {
   for (int k = kKeys; k < kKeys + 4; ++k) {
     std::vector<std::uint8_t> jpeg =
         test_jpeg(40 + static_cast<std::uint64_t>(k));
-    ASSERT_TRUE(s->put("race" + std::to_string(k), {jpeg.data(), jpeg.size()})
+    ASSERT_TRUE(s->put_object("race" + std::to_string(k), admit(jpeg))
                     .acknowledged);
   }
   for (auto& t : readers) t.join();
@@ -873,15 +880,15 @@ TEST(DurableStore, GetRacesBackgroundScrubberCleanly) {
 TEST(DurableStore, DedupPutFailsWhenDirectoryBarrierFails) {
   auto s = open_store(fresh_root("dedupbarrier"));
   std::vector<std::uint8_t> jpeg = test_jpeg(33);
-  ASSERT_TRUE(s->put("a", {jpeg.data(), jpeg.size()}).acknowledged);
+  ASSERT_TRUE(s->put_object("a", admit(jpeg)).acknowledged);
   FailpointGuard fp;
   ASSERT_TRUE(fp.arm("fs.fsync=err:EIO@once"));
-  ls::DurablePutStats ps = s->put("b", {jpeg.data(), jpeg.size()});
+  ls::DurablePutStats ps = s->put_object("b", admit(jpeg));
   EXPECT_FALSE(ps.acknowledged);
   EXPECT_EQ(ps.code, ExitCode::kIoError);
   EXPECT_FALSE(s->contains("b"));
   // Retryable: with the fault cleared the same put dedups and acks.
-  ps = s->put("b", {jpeg.data(), jpeg.size()});
+  ps = s->put_object("b", admit(jpeg));
   EXPECT_TRUE(ps.acknowledged);
   EXPECT_TRUE(ps.deduplicated);
 }
