@@ -50,6 +50,132 @@ int threads_for_size(std::size_t bytes, int max_threads) {
 
 namespace core {
 
+using EncodeCodec = model::SegmentCodec<coding::EncodeOps>;
+
+// The encode pipeline of one segment (DESIGN.md §4 "The encode helper:
+// two threads per segment"): a pool helper precomputes the segment's MCU
+// rows into the context plane's ring (EncodeCodec::precompute_row) while
+// the segment's own thread codes each row once it is published
+// (code_planned_row).
+//
+// The segment thread produces rows itself, the serial loop, until the
+// helper has joined; at the next row boundary it hands the producer role
+// over, once, and from then on only codes. Every row is produced exactly
+// once, so a busy or empty pool leaves the serial loop and does no extra
+// work. Heap-owned and shared with the helper task, which may start long
+// after the segment has finished; a helper that arrives too late touches
+// nothing but this object. A friend of CodecContext: a handover is what
+// CodecContext::helped_segments() counts.
+class RowPipeline {
+ public:
+  RowPipeline(CodecContext& ctx, const EncodeCodec& codec,
+              const jpegfmt::CoeffImage& source, std::uint32_t start_row,
+              std::uint32_t rows)
+      : ctx_(ctx),
+        codec_(codec),
+        source_(source),
+        start_row_(start_row),
+        rows_(rows) {}
+
+  // The helper task: joins, waits for the handover row, then publishes
+  // rows in order, at most kPlaneRingRows ahead of the coder, until every
+  // row is out or the segment thread closes the pipeline.
+  void produce() {
+    int alone = kAlone;
+    if (!joined_.compare_exchange_strong(alone, kJoined,
+                                         std::memory_order_acq_rel)) {
+      return;  // the segment already finished
+    }
+    std::uint32_t from = handover_.load(std::memory_order_acquire);
+    while (from == kNoRow) {
+      handover_.wait(kNoRow, std::memory_order_acquire);
+      from = handover_.load(std::memory_order_acquire);
+    }
+    if (from != kClosed) run_from(from);
+    done_.store(true, std::memory_order_release);
+    done_.notify_one();
+  }
+
+  // Segment thread, before producing row `i` (counted from the segment
+  // start) itself: when the helper has joined, hands it the producer role
+  // from row `i` on and returns true.
+  bool hand_over(std::uint32_t i) {
+    if (joined_.load(std::memory_order_acquire) != kJoined) return false;
+    coded_.store(i, std::memory_order_relaxed);  // published by the release
+    handover_.store(i, std::memory_order_release);
+    handover_.notify_one();
+    ctx_.helped_segments_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+
+  // Blocks until row `i` is published.
+  void await_row(std::uint32_t i) {
+    std::uint32_t p = published_.load(std::memory_order_acquire);
+    while (p <= i) {
+      published_.wait(p, std::memory_order_acquire);
+      p = published_.load(std::memory_order_acquire);
+    }
+  }
+
+  // Frees row `i`'s ring slot for the producer.
+  void row_coded(std::uint32_t i) {
+    coded_.store(i + 1, std::memory_order_release);
+    coded_.notify_one();
+  }
+
+  // Called on every exit of the segment thread (success, timeout or
+  // exception): a helper that has not joined never will, and one that has
+  // is stopped and waited for, so it no longer touches the codec, the
+  // source or the scratch plane when this returns.
+  void close() {
+    int alone = kAlone;
+    if (joined_.compare_exchange_strong(alone, kFinished,
+                                        std::memory_order_acq_rel)) {
+      return;
+    }
+    coded_.store(kClosed, std::memory_order_release);
+    coded_.notify_one();
+    std::uint32_t none = kNoRow;
+    if (handover_.compare_exchange_strong(none, kClosed,
+                                          std::memory_order_acq_rel)) {
+      handover_.notify_one();
+    }
+    done_.wait(false, std::memory_order_acquire);
+  }
+
+ private:
+  enum : int { kAlone, kJoined, kFinished };
+  static constexpr std::uint32_t kClosed = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoRow = kClosed - 1;
+  static constexpr auto kRing =
+      static_cast<std::uint32_t>(model::kPlaneRingRows);
+
+  void run_from(std::uint32_t from) {
+    for (std::uint32_t i = from; i < rows_; ++i) {
+      std::uint32_t coded = coded_.load(std::memory_order_acquire);
+      while (coded != kClosed && i - coded >= kRing) {
+        coded_.wait(coded, std::memory_order_acquire);  // ring full
+        coded = coded_.load(std::memory_order_acquire);
+      }
+      if (coded == kClosed) return;
+      codec_.precompute_row(static_cast<int>(start_row_ + i), source_, i == 0);
+      published_.store(i + 1, std::memory_order_release);
+      published_.notify_one();
+    }
+  }
+
+  CodecContext& ctx_;
+  const EncodeCodec& codec_;
+  const jpegfmt::CoeffImage& source_;
+  const std::uint32_t start_row_;
+  const std::uint32_t rows_;
+  std::atomic<int> joined_{kAlone};
+  std::atomic<std::uint32_t> handover_{kNoRow};  // first helper row
+  std::atomic<std::uint32_t> published_{0};  // rows published
+  std::atomic<std::uint32_t> coded_{0};      // rows coded, or kClosed
+  std::atomic<bool> done_{false};            // joined helper has stopped
+};
+
 std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
                                            const jpegfmt::ScanDecodeResult& dec,
                                            const ContainerPlan& plan,
@@ -94,20 +220,57 @@ std::vector<std::uint8_t> encode_container(const jpegfmt::JpegFile& jf,
       const auto& seg = plan.segments[static_cast<std::size_t>(i)];
       CodecScratch& scratch = *leases[static_cast<std::size_t>(i)];
       coding::BoolEncoder enc(&scratch.arith_buffer());
-      model::SegmentCodec<coding::EncodeOps> codec(coding::EncodeOps{&enc},
-                                                   scratch.fresh_model(), jf,
-                                                   opts.model,
-                                                   &scratch.rings());
-      if (opts.use_context_plane) codec.attach_plane(&scratch.plane());
+      EncodeCodec codec(coding::EncodeOps{&enc}, scratch.model(), jf,
+                        opts.model, &scratch.rings());
       if (tally != nullptr && nseg == 1) {
         codec.set_tally(tally);
       }
+      // A helper is offered only to a segment that runs alone on the
+      // context: other segments in flight (this container's, or other
+      // requests') already claim the cores, and a helper sharing a core
+      // with them slowed saturated serving down. Only such a segment gets
+      // the plane's multi-row ring. The helper is offered before the model
+      // reset, so a worker has that long to wake and join before the
+      // first row. Serial runs, the reference path and the Fig 4 tally run
+      // keep the one-thread loop.
+      const bool offer_helper = opts.use_context_plane && opts.run_parallel &&
+                                tally == nullptr && ctx.pool().size() > 0 &&
+                                ctx.leased_scratch() == 1;
+      if (opts.use_context_plane) {
+        codec.attach_plane(&scratch.plane(),
+                           offer_helper ? model::kPlaneRingRows : 1);
+      }
+      std::shared_ptr<RowPipeline> pipe;
+      if (offer_helper) {
+        pipe = std::make_shared<RowPipeline>(ctx, codec, dec.coeffs,
+                                             seg.start_row,
+                                             seg.end_row - seg.start_row);
+        ctx.pool().submit([pipe] { pipe->produce(); });
+      }
+      struct CloseOnExit {
+        RowPipeline* p;
+        ~CloseOnExit() {
+          if (p != nullptr) p->close();
+        }
+      } close_on_exit{pipe.get()};
+      scratch.reset_model();
+      bool helped = false;  // the helper produces the remaining rows
       for (std::uint32_t row = seg.start_row; row < seg.end_row; ++row) {
         if (rc != nullptr && rc->tripped()) {
           throw jpegfmt::ParseError(ExitCode::kTimeout,
                                     "session deadline tripped mid-encode");
         }
-        codec.code_mcu_row(static_cast<int>(row), &dec.coeffs);
+        const std::uint32_t nth = row - seg.start_row;
+        if (!helped && pipe != nullptr && pipe->hand_over(nth)) {
+          helped = true;
+        }
+        if (helped) {
+          pipe->await_row(nth);
+          codec.code_planned_row(static_cast<int>(row), dec.coeffs);
+          pipe->row_coded(nth);
+        } else {
+          codec.code_mcu_row(static_cast<int>(row), &dec.coeffs);
+        }
       }
       enc.finish_into_buffer();
       arith[static_cast<std::size_t>(i)] = {scratch.arith_buffer().data(),
@@ -173,6 +336,7 @@ util::ExitCode decode_one_segment(const ContainerHeader& h,
     // segment count.
     CodecContext::ScratchLease lease = ctx.acquire_scratch();
     CodecScratch& scratch = *lease;
+    scratch.reset_model();
     if (!seg.prepend.empty()) {
       em.submit(local, {seg.prepend.data(), seg.prepend.size()});
     }
@@ -185,7 +349,7 @@ util::ExitCode decode_one_segment(const ContainerHeader& h,
     std::vector<std::uint8_t>& row_bytes = scratch.row_buffer();
     coding::BoolDecoder bd({arith.data(), arith.size()});
     model::SegmentCodec<coding::DecodeOps> codec(coding::DecodeOps{&bd},
-                                                 scratch.fresh_model(), hdr,
+                                                 scratch.model(), hdr,
                                                  h.model, &scratch.rings());
     // Direct lambda into the template entry point: the per-block ring
     // lookup inlines into the re-encode MCU loop (an std::function there

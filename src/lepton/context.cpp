@@ -8,6 +8,7 @@ CodecContext::CodecContext(int workers)
 CodecContext::ScratchLease CodecContext::acquire_scratch() {
   {
     std::lock_guard<std::mutex> lk(mu_);
+    ++leased_;
     if (!free_.empty()) {
       auto s = std::move(free_.back());
       free_.pop_back();
@@ -22,7 +23,13 @@ CodecContext::ScratchLease CodecContext::acquire_scratch() {
 
 void CodecContext::release(std::unique_ptr<CodecScratch> s) {
   std::lock_guard<std::mutex> lk(mu_);
+  --leased_;
   free_.push_back(std::move(s));
+}
+
+std::size_t CodecContext::leased_scratch() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return leased_;
 }
 
 std::size_t CodecContext::scratch_blocks() const {

@@ -4,10 +4,13 @@
 // before SECCOMP forbids clone() — and every model-sized buffer is
 // allocated once and reused for the life of the process. CodecContext is
 // that daemon's state made explicit: it owns a persistent util::ThreadPool
-// for segment fan-out plus a pool of per-worker scratch blocks, each
-// holding a ProbabilityModel (reset by memset, never reallocated), a
-// capacity-reserved arithmetic output buffer, a Huffman row re-encode
-// buffer, and the two-row context rings. Repeated encode/decode calls
+// for segment fan-out and encode helpers, plus a pool of per-worker
+// scratch blocks, each holding a ProbabilityModel (reset by memset, never
+// reallocated), a capacity-reserved arithmetic output buffer, a Huffman
+// row re-encode buffer, the two-row context rings and the encode-side
+// context plane. An encode helper precomputes context-plane rows while a
+// segment that runs alone on the context codes them; a pool of 0 workers
+// keeps every encode serial. Repeated encode/decode calls
 // through one context perform no model-sized heap allocations after
 // warm-up; a test asserts this via the tracked_memory counters.
 //
@@ -16,6 +19,8 @@
 // want isolation (or several pools) construct their own.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -35,12 +40,16 @@ class CodecScratch {
  public:
   CodecScratch() : model_(1) {}
 
-  // The probability model, returned at the 50-50 prior. The first hand-out
-  // after construction skips the reset (construction zeroed it).
-  model::ProbabilityModel& fresh_model() {
+  // The probability model. A segment binds it into its codec, then calls
+  // reset_model() before coding the first row (encode overlaps that reset
+  // with its helper's start-up).
+  model::ProbabilityModel& model() { return model_[0]; }
+
+  // Returns the model to the 50-50 prior. The first reset after
+  // construction is skipped (construction zeroed it).
+  void reset_model() {
     if (used_) model_[0].reset();
     used_ = true;
-    return model_[0];
   }
 
   // Per-segment arithmetic output (encode) — cleared by BoolEncoder, grows
@@ -54,19 +63,26 @@ class CodecScratch {
   model::SegmentRings& rings() { return rings_; }
 
   // Encode-side context-plane scratch (rolling magnitude/pixel rows plus
-  // the per-MCU-row bucket plane), re-shaped per segment, grown once.
+  // a ring of precomputed MCU rows: one row for a serial segment,
+  // kPlaneRingRows for one offered a helper), re-shaped per segment, grown
+  // once. A segment's encode helper writes it through the segment's lease;
+  // it leases no block of its own.
   model::ContextPlane& plane() { return plane_; }
 
  private:
   // Allocated through the tracker: the per-worker model copies are what
   // the Figure 3 memory accounting counts (§4.2).
   util::tracked_vector<model::ProbabilityModel> model_;
-  bool used_ = false;  // model handed out since construction?
+  bool used_ = false;  // model reset since construction?
   std::vector<std::uint8_t> arith_buf_;
   std::vector<std::uint8_t> row_buf_;
   model::SegmentRings rings_;
   model::ContextPlane plane_;
 };
+
+namespace core {
+class RowPipeline;  // the encode helper (codec.cpp)
+}  // namespace core
 
 class CodecContext {
  public:
@@ -128,6 +144,17 @@ class CodecContext {
   // into the warm-up behaviour.
   std::size_t scratch_blocks() const;
 
+  // How many scratch blocks are leased right now: the codec segments in
+  // flight on this context, encode and decode.
+  std::size_t leased_scratch() const;
+
+  // How many encode segments had their context-plane rows produced by a
+  // pool helper rather than by the serial loop (test/bench visibility into
+  // the encode pipeline). Only the encoder's core::RowPipeline counts.
+  std::uint64_t helped_segments() const {
+    return helped_segments_.load(std::memory_order_relaxed);
+  }
+
   // Convenience entry points bound to this context.
   Result encode(std::span<const std::uint8_t> jpeg,
                 const EncodeOptions& opts = {});
@@ -138,12 +165,16 @@ class CodecContext {
                 const DecodeOptions& opts = {});
 
  private:
+  friend class core::RowPipeline;
+
   void release(std::unique_ptr<CodecScratch> s);
 
   util::ThreadPool pool_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<CodecScratch>> free_;
   std::size_t total_blocks_ = 0;
+  std::size_t leased_ = 0;
+  std::atomic<std::uint64_t> helped_segments_{0};
 };
 
 // The process-wide context behind the free encode_jpeg/decode_lepton

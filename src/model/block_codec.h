@@ -78,8 +78,12 @@ struct SegmentRings {
   std::vector<std::array<util::tracked_vector<BlockState>, 2>> comps;
 };
 
+// Cache-line aligned: in a pipelined encode another thread reads this
+// object's tables while the coding thread writes its neighbours on the
+// stack (the BoolEncoder, per coded bit). Sharing a line with them slowed
+// both threads by about a third.
 template <typename Ops>
-class SegmentCodec {
+class alignas(64) SegmentCodec {
  public:
   // `scratch` (optional) supplies reusable ring storage; when null the
   // codec owns its rings. Either way every slot starts invalid — a segment
@@ -116,24 +120,24 @@ class SegmentCodec {
   // precompute, then a coder loop that only feeds the BoolEncoder) instead
   // of deriving context per block. Byte-streams are identical either way;
   // decode instantiations ignore it. Null detaches (reference path).
-  void attach_plane(ContextPlane* plane) {
+  // `ring_rows` published rows let a producer thread run that far ahead
+  // of the coder (precompute_row); one thread needs one.
+  void attach_plane(ContextPlane* plane, int ring_rows = 1) {
     plane_ = plane;
-    if (plane_ != nullptr) plane_->reshape(jf_.frame);
+    if (plane_ != nullptr) plane_->reshape(jf_.frame, ring_rows);
   }
 
   // Codes one MCU row. On encode, `source` supplies ground-truth blocks;
   // on decode pass nullptr. Decoded coefficients land in the ring and can
   // be read back with row_block() until the next call for that parity.
+  // With a plane attached, an encode row is precompute_row followed by
+  // code_planned_row on the calling thread.
   void code_mcu_row(int my, const jpegfmt::CoeffImage* source) {
     const auto& fr = jf_.frame;
     if constexpr (Ops::kEncoding) {
       if (plane_ != nullptr && source != nullptr) {
-        precompute_mcu_row(*plane_, jf_, *source, my, plane_row_coded_,
-                           edge_tables_.data(), opts_,
-                           jpegfmt::simd::context_kernels());
-        for (int mx = 0; mx < fr.mcus_x; ++mx) {
-          code_row_mcu_plane(mx, my, *source);
-        }
+        precompute_row(my, *source, !plane_row_coded_);
+        code_planned_row(my, *source);
         plane_row_coded_ = true;
         return;
       }
@@ -154,16 +158,25 @@ class SegmentCodec {
     }
   }
 
-  // Marks the start of a segment: the next row has no "above" context, as
-  // if it were the top of the image (this independence is what costs a
-  // little compression per extra thread, §3.4).
-  void reset_above_context() {
-    for (auto& ring : rings_->comps) {
-      for (auto& row : ring) {
-        for (auto& bs : row) bs.valid = false;
-      }
+  // The two halves of a plane-fed encode row (plane attached).
+  //
+  // precompute_row resolves MCU row `my`'s contexts into the plane's ring
+  // slot for `my`; `first` says `my` opens the segment (no above context).
+  // Rows must come in order. It reads only the codec's immutable tables,
+  // writes only the plane (shaped by attach_plane) and cannot throw, so a
+  // producer thread may run it up to the plane's ring_rows rows ahead of
+  // code_planned_row, which codes MCU row `my` from that published slot.
+  void precompute_row(int my, const jpegfmt::CoeffImage& source,
+                      bool first) const noexcept {
+    precompute_mcu_row(*plane_, jf_, source, my, !first, edge_tables_.data(),
+                       opts_, jpegfmt::simd::context_kernels());
+  }
+
+  void code_planned_row(int my, const jpegfmt::CoeffImage& source) {
+    static_assert(Ops::kEncoding, "plane path is encode-only");
+    for (int mx = 0; mx < jf_.frame.mcus_x; ++mx) {
+      code_row_mcu_plane(mx, my, source);
     }
-    plane_row_coded_ = false;
   }
 
   // Read back a decoded block from the ring (valid for the two most recent
@@ -380,8 +393,8 @@ class SegmentCodec {
 
   // One MCU column of the coder loop, exact MCU interleaving order (chroma
   // components share adaptive state, so the order is part of the format).
-  // The row's context was resolved by precompute_mcu_row; this only feeds
-  // the BoolEncoder.
+  // The row's context was resolved by precompute_row into its ring slot;
+  // this only feeds the BoolEncoder.
   void code_row_mcu_plane(int mx, int my, const jpegfmt::CoeffImage& source) {
     const auto& fr = jf_.frame;
     for (int ci = 0; ci < fr.ncomp(); ++ci) {
@@ -392,9 +405,10 @@ class SegmentCodec {
         for (int sx = 0; sx < comp.h_samp; ++sx) {
           int bx = fr.ncomp() == 1 ? mx : mx * comp.h_samp + sx;
           int by = fr.ncomp() == 1 ? my : my * comp.v_samp + sy;
-          std::size_t slot = static_cast<std::size_t>(sy) * cc.width_blocks +
-                             static_cast<std::size_t>(bx);
-          code_block_plane(ci, cp.ctx[slot], cp.mag.data() + slot * 64,
+          std::size_t at = cp.slot_base(my) +
+                           static_cast<std::size_t>(sy) * cc.width_blocks +
+                           static_cast<std::size_t>(bx);
+          code_block_plane(ci, cp.ctx[at], cp.mag.data() + at * 64,
                            cc.block(bx, by));
         }
       }
@@ -471,7 +485,7 @@ class SegmentCodec {
   SegmentRings own_rings_;
   SegmentRings* rings_;
   // Encode-side context plane (null = reference per-block path) and
-  // whether any MCU row was coded since construction/reset (the first
+  // whether code_mcu_row coded an MCU row since construction (the first
   // row's blocks have no "above" context).
   ContextPlane* plane_ = nullptr;
   bool plane_row_coded_ = false;

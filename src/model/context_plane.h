@@ -133,28 +133,47 @@ struct PlanePx {
   std::array<std::int32_t, 16> right;   // cols 6,7: [y][col-6] flattened
 };
 
-// Rolling per-component precompute state. The |coefficient| rows keep a
-// *three*-deep ring (indexed by `by % 3`): computing an even row's
-// magnitude buckets under the above-left quirk needs rows by-1, by and
-// by+1 live at once. Counts and edge pixels roll two rows (`by & 1`),
-// exactly like the codec's context rings. The magnitude-bucket and
-// BlockCtx rows for the MCU row currently being coded are plane-laid-out
-// per sub-row.
+// MCU rows of precomputed context a pipelined segment's plane holds at
+// once: the ring that lets a producer run ahead of the coder loop
+// (lepton/codec.cpp pipelines the two across threads). A segment coded by
+// one thread needs one slot. Row `my` lives in slot `my % ring_rows`.
+inline constexpr int kPlaneRingRows = 4;
+
+// Per-component plane state, in two parts.
+//
+// Producer state (written only by the precompute): the |coefficient| rows
+// keep a *three*-deep ring (indexed by `by % 3`), because computing an even
+// row's magnitude buckets under the above-left quirk needs rows by-1, by
+// and by+1 live at once. Counts and edge pixels roll two rows (`by & 1`),
+// exactly like the codec's context rings. `nzm` holds the nonzero masks of
+// the MCU row being precomputed.
+//
+// Published rows (written by the precompute, read by the coder loop): the
+// magnitude-bucket and BlockCtx rows of `ring_rows` MCU rows, each slot
+// plane-laid-out per sub-row ([sy*wb + bx] within the slot).
 struct ComponentPlane {
   util::tracked_vector<std::uint16_t> abs[3];  // width_blocks * 64
   std::vector<std::uint8_t> nz[2];             // width_blocks
   util::tracked_vector<PlanePx> px[2];         // width_blocks
-  util::tracked_vector<std::uint8_t> mag;      // v_samp rows * wb * 64
   std::vector<std::uint64_t> nzm;              // v_samp rows * wb masks
-  std::vector<BlockCtx> ctx;                   // v_samp rows: [sy*wb + bx]
+  util::tracked_vector<std::uint8_t> mag;      // ring slots * slot_blocks * 64
+  util::tracked_vector<BlockCtx> ctx;          // ring slots * slot_blocks
+  std::size_t slot_blocks = 0;                 // v_samp rows * wb
+  int ring_rows = 1;                           // 1 or kPlaneRingRows
+
+  // First block of MCU row `my`'s ring slot.
+  std::size_t slot_base(int my) const {
+    return static_cast<std::size_t>(my % ring_rows) * slot_blocks;
+  }
 };
 
 struct ContextPlane {
   std::vector<ComponentPlane> comps;
 
-  // Re-shapes to the frame geometry, growing each buffer at most once per
-  // context lifetime (vectors keep capacity across segments/files).
-  void reshape(const jpegfmt::FrameInfo& fr) {
+  // Re-shapes to the frame geometry with a ring of `ring_rows` published
+  // MCU rows, growing each buffer at most once per context lifetime
+  // (vectors keep capacity across segments/files).
+  void reshape(const jpegfmt::FrameInfo& fr, int ring_rows = 1) {
     comps.resize(fr.comps.size());
     for (std::size_t c = 0; c < fr.comps.size(); ++c) {
       auto wb = static_cast<std::size_t>(fr.comps[c].width_blocks);
@@ -165,9 +184,12 @@ struct ContextPlane {
         cp.nz[r].resize(wb);
         cp.px[r].resize(wb);
       }
-      cp.mag.resize(rows * wb * 64);
       cp.nzm.resize(rows * wb);
-      cp.ctx.resize(rows * wb);
+      cp.slot_blocks = rows * wb;
+      cp.ring_rows = ring_rows;
+      const auto slots = static_cast<std::size_t>(ring_rows);
+      cp.mag.resize(slots * cp.slot_blocks * 64);
+      cp.ctx.resize(slots * cp.slot_blocks);
     }
   }
 };
@@ -372,14 +394,16 @@ inline void plane_context_row(ComponentPlane& cp, BlockCtx* out_row,
   }
 }
 
-// Precomputes every component block row of MCU row `my`: stage A for all
-// sub-rows first (an even quirk row's bucket pass reads the next row's
-// magnitudes), then stage B in row order (sub-row sy=1 reads sy=0's
-// rolling state). `any_row_coded` = whether an MCU row was coded since the
-// segment start (the first row's blocks have no "above" context). `et`
-// points at one EdgeTables per component. This is the single wiring of the
-// stages — SegmentCodec's plane path and the precompute bench both drive
-// it, so the bench measures exactly what the encoder runs.
+// Precomputes every component block row of MCU row `my` into its ring
+// slot: stage A for all sub-rows first (an even quirk row's bucket pass
+// reads the next row's magnitudes), then stage B in row order (sub-row
+// sy=1 reads sy=0's rolling state). `any_row_coded` = whether an MCU row
+// was precomputed since the segment start (the first row's blocks have no
+// "above" context). Rows must come in order within a segment: the rolling
+// state carries from one to the next. `et` points at one EdgeTables per
+// component. This is the single wiring of the stages — SegmentCodec's
+// plane path and the precompute bench both drive it, so the bench measures
+// exactly what the encoder runs.
 inline void precompute_mcu_row(ContextPlane& plane,
                                const jpegfmt::JpegFile& jf,
                                const jpegfmt::CoeffImage& source, int my,
@@ -399,8 +423,8 @@ inline void precompute_mcu_row(ContextPlane& plane,
                     my * v_samp + sy, kernels);
     }
     for (int sy = 0; sy < v_samp; ++sy) {
-      plane_context_row(cp, cp.ctx.data() + static_cast<std::size_t>(sy) * wb,
-                        cp.mag.data() + static_cast<std::size_t>(sy) * wb * 64,
+      const std::size_t at = cp.slot_base(my) + static_cast<std::size_t>(sy) * wb;
+      plane_context_row(cp, cp.ctx.data() + at, cp.mag.data() + at * 64,
                         cp.nzm.data() + static_cast<std::size_t>(sy) * wb, cc,
                         my * v_samp + sy, sy > 0 || any_row_coded, comp.h_samp,
                         v_samp, et[static_cast<std::size_t>(ci)], q, opts,

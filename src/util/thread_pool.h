@@ -124,19 +124,4 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Runs `fn(i)` for i in [0, n) on up to `threads` concurrent std::threads
-// and joins them all (RAII-style structured parallelism; simpler than the
-// pool when each codec job owns its segment workers, as Lepton does).
-template <typename Fn>
-void parallel_for_segments(int n, int threads, Fn&& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::thread> ts;
-  ts.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) ts.emplace_back([&fn, i] { fn(i); });
-  for (auto& t : ts) t.join();
-}
-
 }  // namespace lepton::util

@@ -1,12 +1,20 @@
 // Integration tests for the Lepton codec: exact round trips across thread
 // counts, streaming decode, 4-MiB-chunk independence, determinism, the
-// transparent-store admit gate, and hostile-container handling.
+// transparent-store admit gate, hostile-container handling, and the
+// pipelined encode (helper-produced context rows) against the serial loop.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <future>
+#include <limits>
+#include <string>
+#include <thread>
 
 #include "corpus/corpus.h"
 #include "jpeg/jfif_builder.h"
+#include "jpeg/parser.h"
+#include "jpeg/scan_decoder.h"
 #include "lepton/lepton.h"
 #include "lepton/plan.h"
 #include "util/rng.h"
@@ -424,4 +432,240 @@ TEST(ChunkCodec, WholeCorpusChunksReassemble) {
   }
   EXPECT_GT(admitted, 6);  // valid files + round-trippable anomalies
   EXPECT_GT(rejected, 2);  // progressive/CMYK/non-image classified
+}
+
+// ---- pipelined encode -------------------------------------------------------
+//
+// A pool helper precomputes the context-plane rows of a segment that runs
+// alone on its context while the segment's thread codes them. The segment
+// thread produces rows itself until the helper joins, then hands the rest
+// over at a row boundary. The output must be byte-identical to the serial
+// loop (run_parallel = false) on every input and segmentation, wherever
+// the handover falls.
+
+namespace {
+
+void expect_pipeline_identical(lepton::CodecContext& ctx,
+                               const std::vector<std::uint8_t>& jpeg,
+                               lepton::EncodeOptions opts,
+                               const std::string& what) {
+  lepton::EncodeOptions serial = opts;
+  serial.run_parallel = false;
+  auto want = ctx.encode({jpeg.data(), jpeg.size()}, serial);
+  auto got = ctx.encode({jpeg.data(), jpeg.size()}, opts);
+  ASSERT_EQ(got.code, want.code) << what;
+  ASSERT_EQ(got.data, want.data) << what;
+}
+
+}  // namespace
+
+TEST(EncodePipeline, MatchesSerialEncodeOnCorpusWithAnomalies) {
+  lepton::corpus::CorpusOptions copt;
+  copt.valid_files = 10;
+  copt.min_bytes = 20 << 10;
+  copt.max_bytes = 160 << 10;
+  auto corpus = lepton::corpus::build_corpus(copt);
+  lepton::CodecContext ctx(2);
+  for (const auto& f : corpus) {
+    for (int threads : {0, 1, 2, 4, 8}) {
+      lepton::EncodeOptions opts;
+      opts.force_threads = threads;
+      expect_pipeline_identical(ctx, f.bytes, opts,
+                                f.label + " threads " + std::to_string(threads));
+    }
+  }
+  EXPECT_GT(ctx.helped_segments(), 0u) << "no helper ever produced rows";
+}
+
+TEST(EncodePipeline, MatchesSerialEncodeAcrossGeometryAndSegments) {
+  struct Case {
+    int w, h, channels;
+    jf::Subsampling sub;
+    int rst;
+    const char* what;
+  };
+  // kPlaneRingRows is 4: the short cases publish fewer rows than the ring
+  // holds, the tall ones wrap it many times.
+  const Case cases[] = {
+      {680, 420, 3, jf::Subsampling::k420, 0, "420 quirk rows, tall"},
+      {200, 136, 3, jf::Subsampling::k422, 0, "422"},
+      {168, 120, 3, jf::Subsampling::k422, 3, "422 with restarts"},
+      {200, 136, 3, jf::Subsampling::k444, 0, "444"},
+      {120, 90, 1, jf::Subsampling::k444, 0, "grayscale"},
+      {104, 88, 3, jf::Subsampling::k420, 7, "420 restart interval 7"},
+      {168, 120, 3, jf::Subsampling::k420, 1, "420 restart every MCU"},
+      {400, 16, 3, jf::Subsampling::k420, 0, "one MCU row"},
+      {240, 40, 3, jf::Subsampling::k420, 0, "three MCU rows"},
+      {16, 240, 3, jf::Subsampling::k420, 0, "one MCU column"},
+      {8, 400, 3, jf::Subsampling::k444, 0, "one block wide"},
+      {8, 8, 3, jf::Subsampling::k444, 0, "single block"},
+  };
+  lepton::CodecContext ctx(4);
+  std::uint64_t seed = 900;
+  for (const auto& c : cases) {
+    jf::JfifOptions jopt;
+    jopt.subsampling = c.sub;
+    jopt.restart_interval_mcus = c.rst;
+    auto jpeg = make_jpeg(c.w, c.h, seed++, jopt, c.channels);
+    for (int threads : {1, 2, 4, 8}) {
+      lepton::EncodeOptions opts;
+      opts.force_threads = threads;
+      expect_pipeline_identical(
+          ctx, jpeg, opts, std::string(c.what) + " threads " +
+                               std::to_string(threads));
+    }
+    auto enc = ctx.encode({jpeg.data(), jpeg.size()});
+    ASSERT_TRUE(enc.ok()) << c.what;
+    auto dec = ctx.decode({enc.data.data(), enc.data.size()});
+    ASSERT_TRUE(dec.ok()) << c.what;
+    EXPECT_EQ(dec.data, jpeg) << c.what;
+  }
+  EXPECT_GT(ctx.helped_segments(), 0u) << "no helper ever produced rows";
+}
+
+TEST(EncodePipeline, EmptyPoolEncodesSeriallyAndIdentically) {
+  lepton::CodecContext empty(0);
+  lepton::CodecContext pooled(2);
+  for (int i = 0; i < 4; ++i) {
+    auto jpeg = make_jpeg(320 + 40 * i, 240, 950 + i);
+    for (int threads : {1, 4}) {
+      lepton::EncodeOptions opts;
+      opts.force_threads = threads;
+      auto a = empty.encode({jpeg.data(), jpeg.size()}, opts);
+      auto b = pooled.encode({jpeg.data(), jpeg.size()}, opts);
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      EXPECT_EQ(a.data, b.data);
+      expect_pipeline_identical(empty, jpeg, opts, "empty pool");
+    }
+  }
+  EXPECT_EQ(empty.helped_segments(), 0u);
+}
+
+TEST(EncodePipeline, HelperOnlyForASegmentAloneOnItsContext) {
+  // Other segments in flight already claim the cores: neither the segments
+  // of a multi-segment container nor a segment that shares the context
+  // with another request's lease get a helper.
+  lepton::CodecContext ctx(2);
+  auto jpeg = make_jpeg(480, 320, 955);
+  lepton::EncodeOptions two;
+  two.force_threads = 2;
+  ASSERT_TRUE(ctx.encode({jpeg.data(), jpeg.size()}, two).ok());
+  EXPECT_EQ(ctx.helped_segments(), 0u);
+  {
+    auto other = ctx.acquire_scratch();
+    ASSERT_TRUE(ctx.encode({jpeg.data(), jpeg.size()}).ok());
+    EXPECT_EQ(ctx.helped_segments(), 0u);
+  }
+  EXPECT_EQ(ctx.leased_scratch(), 0u);
+  {
+    // Neither shaped the plane's multi-row ring: one thread needs one row.
+    auto a = ctx.acquire_scratch();
+    auto b = ctx.acquire_scratch();
+    EXPECT_EQ(a->plane().comps[0].ring_rows, 1);
+    EXPECT_EQ(b->plane().comps[0].ring_rows, 1);
+  }
+  // Alone on the context, the segment is offered a helper and its block's
+  // plane holds the ring.
+  ASSERT_TRUE(ctx.encode({jpeg.data(), jpeg.size()}).ok());
+  auto alone = ctx.acquire_scratch();
+  EXPECT_EQ(alone->plane().comps[0].ring_rows, lepton::model::kPlaneRingRows);
+}
+
+TEST(EncodePipeline, BusyPoolLeavesTheSegmentThreadProducing) {
+  // The only worker is busy, so the helper is still queued while the
+  // segment thread walks every row: the segment thread produces them all,
+  // the serial loop. The stale helper runs after the encode returned,
+  // finds its segment finished and touches nothing but its own shared
+  // state.
+  lepton::CodecContext ctx(1);
+  auto jpeg = make_jpeg(480, 320, 960);
+  lepton::EncodeOptions serial;
+  serial.run_parallel = false;
+  auto want = ctx.encode({jpeg.data(), jpeg.size()}, serial);
+  ASSERT_TRUE(want.ok());
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  ctx.pool().submit([released] { released.wait(); });
+  for (int i = 0; i < 3; ++i) {
+    auto got = ctx.encode({jpeg.data(), jpeg.size()});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.data, want.data);
+  }
+  EXPECT_EQ(ctx.helped_segments(), 0u);
+  release.set_value();
+  // The stale helpers drain; later encodes are unaffected by them.
+  for (int i = 0; i < 3; ++i) {
+    auto got = ctx.encode({jpeg.data(), jpeg.size()});
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.data, want.data);
+  }
+}
+
+TEST(EncodePipeline, TripMidEncodeTimesOutAndNextEncodeIsIdentical) {
+  // A deadline (odd attempts: a cancel from another thread) trips while the
+  // segment codes. The encode classifies kTimeout, the helper is stopped
+  // and joined before the scratch goes back to the context, and the next
+  // encode on the same context is byte-identical. A cancel whose thread
+  // only runs after the encode finished trips nothing; the output must
+  // then be exact, and the attempt does not count towards the 50 trips.
+  jf::JfifOptions jopt;
+  jopt.subsampling = jf::Subsampling::k420;
+  auto jpeg = make_jpeg(1024, 768, 970, jopt);
+  auto jfile = jf::parse_jpeg({jpeg.data(), jpeg.size()});
+  auto dec = jf::decode_scan(jfile);
+  lepton::EncodeOptions opts;
+  opts.force_threads = 1;
+  auto plan = lepton::core::plan_whole_file(jfile, dec, opts);
+  lepton::CodecContext ctx(2);
+  auto want =
+      lepton::core::encode_container(jfile, dec, plan, opts, nullptr, ctx);
+
+  // Trips land at a fraction of the fastest untripped encode.
+  using Clock = std::chrono::steady_clock;
+  auto fastest = Clock::duration::max();
+  for (int i = 0; i < 3; ++i) {
+    auto t0 = Clock::now();
+    lepton::core::encode_container(jfile, dec, plan, opts, nullptr, ctx);
+    fastest = std::min(fastest, Clock::now() - t0);
+  }
+
+  lepton::util::Rng rng(971);
+  int trips = 0;
+  for (int attempt = 0; attempt < 200 && trips < 50; ++attempt) {
+    lepton::RunControl rc;
+    lepton::EncodeOptions tripped = opts;
+    tripped.run = &rc;
+    auto delay = std::chrono::duration_cast<Clock::duration>(
+        fastest * rng.uniform(0.05, 0.5));
+    std::thread canceller;
+    if (attempt % 2 == 0) {
+      rc.set_deadline_after(delay);
+    } else {
+      canceller = std::thread([&rc, delay] {
+        std::this_thread::sleep_for(delay);
+        rc.request_cancel();
+      });
+    }
+    try {
+      auto out = lepton::core::encode_container(jfile, dec, plan, tripped,
+                                                nullptr, ctx);
+      EXPECT_EQ(out, want) << "attempt " << attempt;
+      EXPECT_EQ(attempt % 2, 1) << "a deadline inside the encode never tripped";
+    } catch (const jf::ParseError& e) {
+      EXPECT_EQ(e.code(), ExitCode::kTimeout) << "attempt " << attempt;
+      ++trips;
+    }
+    if (canceller.joinable()) canceller.join();
+    EXPECT_EQ(lepton::core::encode_container(jfile, dec, plan, opts, nullptr,
+                                             ctx),
+              want)
+        << "attempt " << attempt;
+  }
+  EXPECT_EQ(trips, 50);
+  EXPECT_GT(ctx.helped_segments(), 0u) << "no helper ever produced rows";
+  // The helper writes the segment's plane through the segment's lease: a
+  // one-segment encode never needs a second scratch block.
+  EXPECT_EQ(ctx.scratch_blocks(), 1u);
 }

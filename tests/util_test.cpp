@@ -210,13 +210,6 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForSegmentsCoversRange) {
-  std::vector<std::atomic<int>> hits(16);
-  lepton::util::parallel_for_segments(16, 8,
-                                      [&](int i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(Zlib, RoundTrip) {
   std::vector<std::uint8_t> data(50000);
   lu::Rng rng(9);
