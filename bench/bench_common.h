@@ -7,10 +7,8 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "corpus/corpus.h"
@@ -74,100 +72,9 @@ inline double best_of(int rounds, const std::function<void()>& fn) {
 
 inline double mbits(std::size_t bytes) { return bytes * 8.0 / 1e6; }
 
-// The box's vCPU count, recorded in every trajectory entry: the
-// single-thread numbers from a 1-vCPU runner and a many-core desktop are
-// not comparable, and the entry must say which it was.
-inline unsigned hardware_concurrency() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 inline void header(const char* title, const char* paper_note) {
   std::printf("==== %s ====\n", title);
   std::printf("paper: %s\n\n", paper_note);
-}
-
-// ---- BENCH_hotpath.json trajectory -----------------------------------------
-//
-// The committed repo-root trajectory is an array of flat per-run objects,
-// each tagged with the PR it measured ("pr") and the bench that wrote it
-// ("bench": "hotpath" | "server"; entries predating the tag are hotpath's).
-// A writer re-running keeps every entry except its own (same pr AND same
-// bench), so micro_hotpath and micro_server append to one shared file
-// without clobbering each other. Entries are split on top-level braces
-// (ours are flat — no nested objects); a legacy single-object file is
-// adopted as the PR 3 hotpath entry it was written by.
-inline std::vector<std::string> read_trajectory_entries(
-    const std::string& path, int drop_pr, const std::string& drop_bench) {
-  std::vector<std::string> entries;
-  FILE* in = std::fopen(path.c_str(), "r");
-  if (in == nullptr) return entries;
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) text.append(buf, n);
-  std::fclose(in);
-  std::size_t i = 0;
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\n')) ++i;
-  bool legacy_object = i < text.size() && text[i] == '{';
-  std::string cur;
-  int depth = 0;
-  bool in_string = false;
-  auto int_field = [](const std::string& e, const char* key, int fallback) {
-    std::size_t p = e.find(key);
-    if (p == std::string::npos) return fallback;
-    p = e.find(':', p);
-    if (p == std::string::npos) return fallback;
-    return std::atoi(e.c_str() + p + 1);
-  };
-  auto string_field = [](const std::string& e, const char* key,
-                         const char* fallback) -> std::string {
-    std::size_t p = e.find(key);
-    if (p == std::string::npos) return fallback;
-    p = e.find(':', p);
-    if (p == std::string::npos) return fallback;
-    p = e.find('"', p);
-    if (p == std::string::npos) return fallback;
-    std::size_t q = e.find('"', p + 1);
-    if (q == std::string::npos) return fallback;
-    return e.substr(p + 1, q - p - 1);
-  };
-  for (; i < text.size(); ++i) {
-    char c = text[i];
-    // Braces inside string values (e.g. a free-text "note") must not
-    // affect the entry split.
-    if (in_string) {
-      if (depth > 0) cur.push_back(c);
-      if (c == '\\' && i + 1 < text.size()) {
-        if (depth > 0) cur.push_back(text[i + 1]);
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      if (depth > 0) cur.push_back(c);
-      continue;
-    }
-    if (c == '{') {
-      if (++depth == 1) cur.clear();
-    }
-    if (depth > 0) cur.push_back(c);
-    if (c == '}' && --depth == 0) {
-      if (legacy_object && cur.find("\"pr\"") == std::string::npos) {
-        // Adopt the pre-trajectory single object as the PR 3 entry.
-        cur.insert(1, "\n  \"pr\": 3,");
-      }
-      int entry_pr = int_field(cur, "\"pr\"", -1);
-      std::string entry_bench = string_field(cur, "\"bench\"", "hotpath");
-      if (entry_pr != drop_pr || entry_bench != drop_bench) {
-        entries.push_back(cur);
-      }
-    }
-  }
-  return entries;
 }
 
 }  // namespace bench

@@ -6,19 +6,18 @@
 // Huffman re-encode, AVX2 IDCT pass, fused-refill scan parse, plane
 // precompute, plane-fed model loop), and reports single-thread whole-codec
 // encode/decode throughput through one warm CodecContext on the generated
-// corpus. Appends one per-PR entry to the BENCH_hotpath.json *trajectory*
-// (an array of entries; any existing entry for the same PR is replaced) so
-// future PRs can diff against every predecessor (no google-benchmark
-// dependency: plain steady_clock with best-of-N via bench::best_of).
+// corpus. Every lever is an A/B inside this one binary, so its ratios are
+// same-run, same-machine comparisons; the results go to stdout only (no
+// google-benchmark dependency: plain steady_clock with best-of-N via
+// bench::best_of). End-to-end served and stored throughput is perfbench's
+// job (perfbench/README.md).
 //
-// Flags: --full for the larger corpus band, --out <path> for the JSON,
-// --pr <n> for the trajectory entry id (default: this PR).
+// Flags: --full for the larger corpus band.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -464,19 +463,8 @@ IdctRates idct_lever() {
 
 }  // namespace
 
-// This PR's trajectory entry id — the single place to bump per perf PR
-// (run_bench.sh and CI inherit it; `--pr N` / PR=<n> override for
-// re-measuring an old build).
-constexpr int kCurrentPr = 6;
-
 int main(int argc, char** argv) {
   bool full = bench::want_full(argc, argv);
-  std::string out_path = "BENCH_hotpath.json";
-  int pr = kCurrentPr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--out") out_path = argv[i + 1];
-    if (std::string(argv[i]) == "--pr") pr = std::atoi(argv[i + 1]);
-  }
 
   bench::header("micro_hotpath: bit I/O, bool coder, single-thread codec",
                 "Lepton decodes >300 MB/s/instance across 16 threads (§5.4); "
@@ -581,73 +569,5 @@ int main(int argc, char** argv) {
   std::printf("encode pipeline : plane %5.2f / reference %5.2f MB/s   (%.2fx)\n",
               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps);
 
-  std::vector<std::string> entries =
-      bench::read_trajectory_entries(out_path, pr, "hotpath");
-  FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "[\n");
-  for (const auto& e : entries) std::fprintf(out, "%s,\n", e.c_str());
-  std::fprintf(out,
-               "{\n"
-               "  \"pr\": %d,\n"
-               "  \"bench\": \"hotpath\",\n"
-               "  \"bit_reader_batched_MBps\": %.2f,\n"
-               "  \"bit_reader_per_bit_MBps\": %.2f,\n"
-               "  \"bit_reader_speedup\": %.3f,\n"
-               "  \"bool_adaptive_encode_Mbps\": %.2f,\n"
-               "  \"bool_adaptive_decode_Mbps\": %.2f,\n"
-               "  \"bool_literal_encode_Mbps\": %.2f,\n"
-               "  \"bool_literal_decode_Mbps\": %.2f,\n"
-               "  \"bool_literal_encode_speedup\": %.3f,\n"
-               "  \"layout_clustered_Mvals\": %.2f,\n"
-               "  \"layout_scattered_Mvals\": %.2f,\n"
-               "  \"layout_speedup\": %.3f,\n"
-               "  \"spec_decode_Mvals\": %.2f,\n"
-               "  \"spec_decode_ref_Mvals\": %.2f,\n"
-               "  \"spec_decode_speedup\": %.3f,\n"
-               "  \"reencode_simd_MBps\": %.2f,\n"
-               "  \"reencode_scalar_MBps\": %.2f,\n"
-               "  \"reencode_simd_speedup\": %.3f,\n"
-               "  \"idct_simd_ns_per_block\": %.1f,\n"
-               "  \"idct_scalar_ns_per_block\": %.1f,\n"
-               "  \"idct_speedup\": %.3f,\n"
-               "  \"encode_parse_MBps\": %.2f,\n"
-               "  \"plane_precompute_Mblocks\": %.2f,\n"
-               "  \"model_loop_plane_Mvals\": %.2f,\n"
-               "  \"model_loop_ref_Mvals\": %.2f,\n"
-               "  \"model_loop_speedup\": %.3f,\n"
-               "  \"encode_plane_MBps\": %.2f,\n"
-               "  \"encode_reference_MBps\": %.2f,\n"
-               "  \"encode_plane_speedup\": %.3f,\n"
-               "  \"hardware_concurrency\": %u,\n"
-               "  \"simd_level\": \"%s\",\n"
-               "  \"codec_encode_MBps\": %.2f,\n"
-               "  \"codec_decode_MBps\": %.2f,\n"
-               "  \"codec_combined_MBps\": %.2f,\n"
-               "  \"corpus_files\": %zu,\n"
-               "  \"corpus_MB\": %.2f\n"
-               "}\n"
-               "]\n",
-               pr, rd_batched, rd_per_bit, rd_batched / rd_per_bit,
-               bc.encode_adaptive_mbits, bc.decode_adaptive_mbits,
-               bc.encode_literal_mbits, bc.decode_literal_mbits,
-               bc.encode_literal_mbits / bc.encode_adaptive_mbits,
-               lay.clustered_mvals, lay.scattered_mvals,
-               lay.clustered_mvals / lay.scattered_mvals, spec.spec_mvals,
-               spec.ref_mvals, spec.spec_mvals / spec.ref_mvals, re.simd_mbps,
-               re.scalar_mbps, re.simd_mbps / re.scalar_mbps, idct.simd_ns,
-               idct.scalar_ns, idct.scalar_ns / idct.simd_ns, ep.parse_mbps,
-               ep.plane_precompute_mblocks, ep.model_plane_mvals,
-               ep.model_ref_mvals, ep.model_plane_mvals / ep.model_ref_mvals,
-               enc_mbps, enc_ref_mbps, enc_mbps / enc_ref_mbps,
-               bench::hardware_concurrency(),
-               lepton::util::simd_level_name(lepton::util::detected_simd()),
-               enc_mbps, dec_mbps, combined, files.size(), mb);
-  std::fclose(out);
-  std::printf("\nwrote %s (trajectory entry pr=%d, %zu prior entries kept)\n",
-              out_path.c_str(), pr, entries.size());
   return 0;
 }

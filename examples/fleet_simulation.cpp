@@ -26,6 +26,7 @@
 #include "corpus/corpus.h"
 #include "lepton/context.h"
 #include "leptond/event_server.h"
+#include "storage/fleet.h"
 #include "storage/fleet_client.h"
 #include "util/exit_codes.h"
 

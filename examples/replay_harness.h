@@ -1,6 +1,6 @@
-// The §5 workload-replay harness core (ISSUE 10) — shared by the operator
-// driver (examples/workload_replay.cpp) and the trajectory bench
-// (bench/micro_sharded.cpp).
+// The §5 workload-replay harness core behind examples/workload_replay.cpp.
+// It is a test harness, not library code, so it lives next to the one
+// program that uses it.
 //
 // Replays millions of simulated object accesses against a ShardedStore:
 // a fig11-style backfill ramp ingests every object (content drawn from a

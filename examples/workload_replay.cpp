@@ -1,4 +1,4 @@
-// workload_replay — the §5 workload-replay driver (ISSUE 10).
+// workload_replay — the §5 workload-replay tool.
 //
 // Replays a paper-shaped week against storage::ShardedStore: a fig11
 // backfill ramp ingests millions of simulated objects across N shards,
@@ -29,7 +29,7 @@
 
 #include <unistd.h>
 
-#include "storage/replay_harness.h"
+#include "replay_harness.h"
 
 namespace {
 

@@ -76,9 +76,7 @@ ContainerPlan plan_byte_range(const jpegfmt::JpegFile& jf,
       }
       std::size_t nrows = r_last - r_first;
       int threads;
-      if (opts.one_way) {
-        threads = 1;
-      } else if (opts.force_threads > 0) {
+      if (opts.force_threads > 0) {
         threads = opts.force_threads;
       } else {
         threads = threads_for_size(static_cast<std::size_t>(rel1 - rel0),

@@ -1,8 +1,10 @@
 #include "leptond/config.h"
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include <unistd.h>
@@ -12,20 +14,27 @@
 namespace lepton::leptond {
 namespace {
 
+// Decimal digits only; false on anything past 2^64 - 1 (never wraps).
 bool parse_u64(const std::string& v, std::uint64_t* out) {
   if (v.empty()) return false;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   std::uint64_t n = 0;
   for (char ch : v) {
     if (ch < '0' || ch > '9') return false;
-    n = n * 10 + static_cast<std::uint64_t>(ch - '0');
+    auto digit = static_cast<std::uint64_t>(ch - '0');
+    if (n > (kMax - digit) / 10) return false;
+    n = n * 10 + digit;
   }
   *out = n;
   return true;
 }
 
-bool parse_int(const std::string& v, int* out) {
+// A thread count: at most kMaxThreadOption.
+bool parse_threads(const std::string& v, int* out) {
   std::uint64_t n;
-  if (!parse_u64(v, &n) || n > 1u << 20) return false;
+  if (!parse_u64(v, &n) || n > static_cast<std::uint64_t>(kMaxThreadOption)) {
+    return false;
+  }
   *out = static_cast<int>(n);
   return true;
 }
@@ -65,29 +74,41 @@ bool apply_option(DaemonConfig* cfg, const std::string& key,
     return true;
   }
   if (key == "workers") {
-    if (!parse_int(value, &cfg->workers) || cfg->workers < 1) {
-      return bad("bad value");
-    }
+    int n;
+    if (!parse_threads(value, &n) || n < 1) return bad("bad value");
+    cfg->workers = n;
     return true;
   }
   if (key == "codec-threads") {
-    if (!parse_int(value, &cfg->codec_threads) || cfg->codec_threads < 0) {
-      return bad("bad value");
-    }
+    if (!parse_threads(value, &cfg->codec_threads)) return bad("bad value");
     return true;
   }
   if (key == "max-body-bytes") {
     return parse_u64(value, &cfg->max_body_bytes) ? true : bad("bad value");
   }
   if (key == "idle-timeout-ms") {
-    if (!parse_u64(value, &cfg->idle_timeout_ms) ||
-        cfg->idle_timeout_ms == 0) {
+    // Deadlines are steady_clock::now() plus this; half the clock's range
+    // leaves the other half for now().
+    constexpr std::uint64_t kMaxMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::duration::max())
+            .count() /
+        2;
+    std::uint64_t ms;
+    if (!parse_u64(value, &ms) || ms == 0 || ms > kMaxMs) {
       return bad("bad value");
     }
+    cfg->idle_timeout_ms = ms;
     return true;
   }
   if (key == "decode-cache-mb") {
-    return parse_u64(value, &cfg->decode_cache_mb) ? true : bad("bad value");
+    // The daemon sizes the cache as mb << 20 in a size_t.
+    constexpr std::uint64_t kMaxMb =
+        std::numeric_limits<std::size_t>::max() >> 20;
+    std::uint64_t mb;
+    if (!parse_u64(value, &mb) || mb > kMaxMb) return bad("bad value");
+    cfg->decode_cache_mb = mb;
+    return true;
   }
   if (key == "shutoff-file") {
     cfg->shutoff_file = value;
@@ -239,14 +260,17 @@ bool acquire_pidfile(const std::string& path, std::string* err) {
 }
 
 std::string usage_text() {
+  const std::string max_threads = std::to_string(kMaxThreadOption);
   return
       "usage: leptond [flags]\n"
       "  --config FILE          key=value config file (flags override it)\n"
       "  --listen ENDPOINT      tcp:host:port | unix:/path (default "
       "tcp:127.0.0.1:2929)\n"
       "  --workers N            worker pool size = concurrent conversion "
-      "bound (default 4)\n"
-      "  --codec-threads N      CodecContext pool threads (0 = default)\n"
+      "bound (default 4,\n"
+      "                         at most " + max_threads + ")\n"
+      "  --codec-threads N      CodecContext pool threads (0 = default, at "
+      "most " + max_threads + ")\n"
       "  --max-body-bytes N     per-request body cap (default 6 MiB)\n"
       "  --idle-timeout-ms N    idle window / body wall budget (default "
       "30000)\n"

@@ -10,6 +10,11 @@
 
 namespace lepton::leptond {
 
+// Upper bound on `workers` and `codec-threads`. Each unit is an OS thread
+// started at boot, so a larger value is refused as a typo rather than
+// obeyed.
+inline constexpr int kMaxThreadOption = 1024;
+
 struct DaemonConfig {
   std::string config_file;           // --config (read before other flags)
   std::string listen = "tcp:127.0.0.1:2929";
@@ -27,7 +32,10 @@ struct DaemonConfig {
 };
 
 // Applies one key/value (config-file line or --flag). Unknown key or
-// malformed value: false with *err set.
+// malformed value: false with *err set. A number is malformed when it
+// overflows, never wrapped: past 2^64 - 1, `workers`/`codec-threads`
+// above kMaxThreadOption, a `decode-cache-mb` whose byte size does not
+// fit size_t, or an `idle-timeout-ms` past half the steady clock's range.
 bool apply_option(DaemonConfig* cfg, const std::string& key,
                   const std::string& value, std::string* err);
 

@@ -13,9 +13,9 @@
 // flow-control rule PROTOCOL.md §"Flow control" makes normative.
 //
 // Per-request facts (TTFB, wall time, byte counts, the trailer's server-side
-// counters) are surfaced so pacing layers — the fleet requeue path in
-// storage/fleet.h, the micro_server bench — can aggregate them through
-// util/stats.
+// counters) are surfaced so pacing layers — storage::FleetClient
+// (storage/fleet_client.h), the perfbench serve workloads — can aggregate
+// them through util/stats.
 #pragma once
 
 #include <chrono>

@@ -18,7 +18,6 @@
 
 #include "storage/event_sim.h"
 #include "storage/workload.h"
-#include "util/exit_codes.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -61,55 +60,5 @@ struct FleetMetrics {
 // behind Figures 9 and 10.
 FleetMetrics simulate_fleet(const FleetConfig& cfg, const WorkloadModel& wl,
                             double days);
-
-// ---- §6.6 timeout -> requeue over real servers ------------------------------
-//
-// The simulator above models latencies; storage::FleetClient
-// (fleet_client.h) drives *real* conversions through a fleet of leptond
-// daemons and reproduces the paper's §6.6 contract: a conversion that
-// exceeds its timeout window is abandoned (the server's session aborts as
-// kTimeout at its next MCU-row poll) and the request is requeued on a
-// *different* server, normally with a more generous budget. These are the
-// records it reports: one RequestTrace per request, RequeueMetrics over all.
-
-enum class FleetOp { kEncode, kDecode };
-
-// One request's record (tests verify byte-identity and the
-// first-timeout/second-success shape from these).
-struct RequestTrace {
-  int attempts = 0;
-  int first_server = -1;
-  int final_server = -1;
-  util::ExitCode first_code = util::ExitCode::kSuccess;
-  util::ExitCode final_code = util::ExitCode::kSuccess;
-  double ttfb_s = 0;    // of the final attempt
-  double total_s = 0;   // sum over attempts (what the user waited)
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::vector<std::uint8_t> data;  // final response body (empty on failure)
-};
-
-struct RequeueMetrics {
-  std::uint64_t requests = 0;
-  std::uint64_t requeues = 0;            // attempts beyond the first
-  std::uint64_t succeeded = 0;
-  std::uint64_t transport_failures = 0;  // connect/IO-level attempt failures
-  std::uint64_t health_probes = 0;       // PING/STATS probes issued
-  std::uint64_t unhealthy_endpoints = 0; // endpoints demoted by probe/attempt
-  std::uint64_t breaker_opens = 0;       // closed/half-open -> open
-  std::uint64_t breaker_closes = 0;      // half-open probe succeeded
-  std::uint64_t half_open_probes = 0;    // requests routed as breaker probes
-  std::uint64_t breaker_fast_fails = 0;  // refused: every breaker open
-  std::uint64_t backoff_retries = 0;     // retries that slept a backoff
-  double backoff_wait_s = 0;             // total backoff sleep
-  std::uint64_t passthrough_fallbacks = 0;  // puts degraded to pass-through
-  util::CodeTally first_attempt_codes;   // §6.2 tally of attempt #1
-  util::CodeTally final_codes;           // §6.2 tally after requeueing
-  // Bounded reservoirs: a FleetClient lives as long as its process.
-  util::ReservoirPercentiles ttfb_s;
-  util::ReservoirPercentiles latency_s;  // end-to-end, retries included
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-};
 
 }  // namespace lepton::storage

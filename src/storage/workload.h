@@ -1,16 +1,15 @@
-// Production workload model (§5.4) and the §5 replay generator (ISSUE 10).
+// Production workload model (§5.4) and the §5 replay generator.
 //
 // Calibrated from every number the paper publishes: ~5 fleet-wide encodes/s
 // at the Thursday peak, decode:encode ratio ≈ 1.5 on weekdays and ≈ 1.0 on
 // weekends (users shoot as much on weekends but sync/view less), a diurnal
 // cycle peaking in the (UTC) evening, and file sizes averaging ~1.5 MB.
 //
-// The replay half feeds examples/workload_replay.cpp and
-// bench/micro_sharded.cpp: Zipf-skewed object popularity (Xu et al.,
-// arXiv:1912.11145 — photo reads are heavily skewed and time-varying),
-// read timestamps following the fig05 weekly decode-rate shape, and a
-// fig11-style backfill ramp for the ingest phase. Everything draws from an
-// explicitly seeded Rng, so a replay replays.
+// The replay half feeds examples/workload_replay.cpp: Zipf-skewed object
+// popularity (Xu et al., arXiv:1912.11145 — photo reads are heavily
+// skewed and time-varying), read timestamps following the fig05 weekly
+// decode-rate shape, and a fig11-style backfill ramp for the ingest phase.
+// Everything draws from an explicitly seeded Rng, so a replay replays.
 #pragma once
 
 #include <cmath>

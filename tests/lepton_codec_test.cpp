@@ -73,7 +73,7 @@ TEST_P(LeptonRoundTrip, ExactBytes) {
 
   lepton::EncodeOptions opt;
   opt.max_threads = p.threads;
-  opt.one_way = p.one_way;
+  if (p.one_way) opt.force_threads = 1;
   auto enc = lepton::encode_jpeg({file.data(), file.size()}, opt);
   ASSERT_TRUE(enc.ok()) << enc.message;
   EXPECT_LT(enc.data.size(), file.size()) << "must actually compress";
@@ -161,7 +161,7 @@ TEST(LeptonCodec, OneWayCompressesBetterThanEightWay) {
   // compression. 1-way must beat 8-way on the same file.
   auto file = make_jpeg(512, 512, 47);
   lepton::EncodeOptions one;
-  one.one_way = true;
+  one.force_threads = 1;
   lepton::EncodeOptions eight;
   eight.force_threads = 8;
   auto a = lepton::encode_jpeg({file.data(), file.size()}, one);

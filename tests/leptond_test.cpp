@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -266,6 +267,75 @@ TEST(DaemonConfig, FlagsAndConfigFileCompose) {
 
   cfg = {};
   EXPECT_FALSE(ld::parse_config_text("listen\n", &cfg, &err));
+  EXPECT_NE(err.find("line 1"), std::string::npos) << err;
+}
+
+// Numeric options are refused when they overflow, never wrapped: a
+// wrapped max-body-bytes of 0 refuses every request, a cache size whose
+// byte count wraps turns the cache off, an idle timeout past the clock's
+// range wraps every deadline, and an absurd thread count would start that
+// many threads. Parsing only — no server, no thread.
+TEST(DaemonConfig, OverflowingValuesAreRefused) {
+  namespace ld = lepton::leptond;
+  ld::DaemonConfig cfg;
+  std::string err;
+  EXPECT_TRUE(ld::apply_option(&cfg, "max-body-bytes", "18446744073709551615",
+                               &err))
+      << err;
+  EXPECT_EQ(cfg.max_body_bytes, 18446744073709551615u);
+  for (const char* key : {"max-body-bytes", "idle-timeout-ms"}) {
+    EXPECT_FALSE(ld::apply_option(&cfg, key, "18446744073709551616", &err))
+        << key;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, "18446744073709551617", &err))
+        << key;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, "99999999999999999999999", &err))
+        << key;
+  }
+  EXPECT_EQ(cfg.max_body_bytes, 18446744073709551615u)
+      << "a refused value must leave the setting alone";
+
+  // idle-timeout-ms: deadlines are steady_clock::now() plus the timeout, so
+  // 10^13 ms (~317 years) would overflow the clock's int64 nanoseconds.
+  EXPECT_TRUE(ld::apply_option(&cfg, "idle-timeout-ms", "1000000000000", &err))
+      << err;
+  EXPECT_FALSE(ld::apply_option(&cfg, "idle-timeout-ms", "10000000000000",
+                                &err));
+  EXPECT_EQ(cfg.idle_timeout_ms, 1000000000000u);
+
+  // decode-cache-mb: the largest MiB count whose byte size fits size_t.
+  const std::uint64_t max_mb = std::numeric_limits<std::size_t>::max() >> 20;
+  EXPECT_TRUE(ld::apply_option(&cfg, "decode-cache-mb",
+                               std::to_string(max_mb), &err))
+      << err;
+  EXPECT_EQ(cfg.decode_cache_mb, max_mb);
+  EXPECT_FALSE(ld::apply_option(&cfg, "decode-cache-mb",
+                                std::to_string(max_mb + 1), &err));
+  EXPECT_NE(err.find("decode-cache-mb"), std::string::npos) << err;
+
+  // Thread counts: one documented cap for both pools.
+  const std::string cap = std::to_string(ld::kMaxThreadOption);
+  const std::string over = std::to_string(ld::kMaxThreadOption + 1);
+  for (const char* key : {"workers", "codec-threads"}) {
+    EXPECT_TRUE(ld::apply_option(&cfg, key, cap, &err)) << key << ": " << err;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, over, &err)) << key;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, "1048576", &err)) << key;
+    EXPECT_FALSE(ld::apply_option(&cfg, key, "18446744073709551617", &err))
+        << key;
+  }
+  EXPECT_EQ(cfg.workers, ld::kMaxThreadOption);
+  EXPECT_EQ(cfg.codec_threads, ld::kMaxThreadOption);
+  EXPECT_FALSE(ld::apply_option(&cfg, "workers", "0", &err));
+  EXPECT_EQ(cfg.workers, ld::kMaxThreadOption);
+
+  // The same bounds hold for flags and config-file lines.
+  bool help = false;
+  cfg = {};
+  EXPECT_FALSE(ld::parse_args({"--workers=1048576"}, &cfg, &err, &help));
+  EXPECT_NE(err.find("workers"), std::string::npos) << err;
+  EXPECT_FALSE(ld::parse_args({"--max-body-bytes", "18446744073709551616"},
+                              &cfg, &err, &help));
+  EXPECT_FALSE(ld::parse_config_text(
+      "decode-cache-mb " + std::to_string(max_mb + 1) + "\n", &cfg, &err));
   EXPECT_NE(err.find("line 1"), std::string::npos) << err;
 }
 
